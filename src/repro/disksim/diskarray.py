@@ -22,8 +22,8 @@ the kernel needs disk state:
 
 * :meth:`DiskArray.refresh` — pull one disk's row from its ``Disk`` (and
   its ``DiskStats`` partial sums) into the columns.  A disk that the
-  mirror refuses to hold (:attr:`Disk.mirrorable` false, or an
-  auto-spin-down policy while transitioning/spun down) instead joins
+  mirror refuses to hold (:attr:`Disk.mirrorable` false: a deferred
+  power call or a faulty spin-up chain is queued) instead joins
   ``exact_mask`` and every touch routes through the state machine.
 * :meth:`DiskArray.flush` — push one disk's row back.  A row that served
   nothing and was never edited is skipped (the ``Disk`` is already
@@ -161,7 +161,6 @@ class DiskArray:
         "stats",
         "bank",
         "recorder",
-        "auto_active",
         "_row_list",
         "_level_row",
         "_idle_w_by",
@@ -206,7 +205,6 @@ class DiskArray:
         level_row,
         idle_w_by,
         active_w_by,
-        auto_active: bool,
     ) -> None:
         num_disks = len(disks)
         self.num_disks = num_disks
@@ -216,7 +214,6 @@ class DiskArray:
         #: Shared timeline recorder (None when observation is off); the
         #: mirror emits the same segments ``Disk._emit`` would.
         self.recorder = disks[0].recorder if disks else None
-        self.auto_active = auto_active
         self._row_list = row_list
         self._level_row = level_row
         self._idle_w_by = idle_w_by
@@ -264,10 +261,7 @@ class DiskArray:
         """Pull disk ``d``'s row from its ``Disk`` into the columns."""
         disk = self.disks[d]
         bit = 1 << d
-        if not disk.mirrorable or (
-            self.auto_active
-            and (disk._transition_end_s is not None or disk.standby)
-        ):
+        if not disk.mirrorable:
             self.valid[d] = False
             self.exact_mask |= bit
             self.busy_mask &= ~bit

@@ -33,17 +33,18 @@ Two replay engines produce bit-identical results:
   bulk); windows touching a busy disk run a scalar mirror loop that
   resolves the in-flight transition inline.  Reactive DRPM's window
   heuristic is folded into both via :func:`repro.power.planner.
-  drpm_window_step`.  Only genuinely entangled cases escape to the exact
-  ``Disk`` methods — a directive landing inside a transition, an
-  auto-spindown falling due, a standby wake, a spin-up fault, or queued
-  deferred work (see :attr:`Disk.mirrorable`) — and each escape is
-  counted by reason in :func:`replay_coverage` and the
-  ``sim.fallbacks{reason}`` metric.  Timeline recording is
-  engine-independent: the mirror edits and scalar accruals emit the same
-  :class:`~repro.disksim.timeline.Segment` stream the stepwise recorder
-  produces, bit for bit (recording disables only the fused vector
-  accounting and the columnar directive batch, which have no
-  per-interval structure to emit).
+  drpm_window_step`; reactive TPM's idleness fires and the standby
+  wake-ups after them are mirror edits on the scalar path.  Only
+  genuinely entangled cases escape to the exact ``Disk`` methods — a
+  directive landing inside a transition, a spin-up that draws a fault, a
+  fault-flagged sub-request, or queued deferred work (see
+  :attr:`Disk.mirrorable`) — and each escape is counted by reason in
+  :func:`replay_coverage` and the ``sim.fallbacks{reason}`` metric.
+  Timeline recording is engine-independent: the mirror edits and scalar
+  accruals emit the same :class:`~repro.disksim.timeline.Segment` stream
+  the stepwise recorder produces, bit for bit (recording disables only
+  the fused vector accounting and the columnar directive batch, which
+  have no per-interval structure to emit).
 
 Within a quiescent segment the synchronous model guarantees every
 sub-request starts exactly at its issue time: the app blocks until the
@@ -82,6 +83,8 @@ from .diskarray import STATE_INDEX, STATE_NAMES, DiskArray
 from .timeline import (
     CAUSE_DRPM_WINDOW,
     CAUSE_EXTERNAL,
+    CAUSE_STANDBY_WAKE,
+    CAUSE_TPM_AUTO,
 )
 from .params import SubsystemParams
 from .powermodel import PowerModel
@@ -140,12 +143,14 @@ VECTOR_MIN_SUBREQUESTS_PM = 96
 #: replays keep the scalar mirror kernel end to end.
 DRPM_VECTOR_MIN_WINDOW = 512
 
-#: Reactive-TPM vector gate: every autonomous spin-down costs one
-#: re-probe round trip through the driver (fire-bound recomputation plus
-#: window setup), which on short streams outweighs what the vector kernel
-#: saves between fires.  Streams below this request count keep the scalar
-#: mirror kernel; above it the fire-bounded vector windows win (measured
-#: crossover between the 7k- and 12k-request Table 2 traces).
+#: Reactive-TPM vector gate: fires run in mirror without ending a scalar
+#: run, but every vector probe pays a fire-bound scan, a flush of every
+#: live mirror and the kernel's window setup, and on a short stream the
+#: fire-bounded windows are too short to repay it.
+#: Streams below this request count keep the scalar mirror kernel.
+#: Re-measured with in-mirror fires: without the gate the Table 2 TPM
+#: replays under it ran 10-50% slower (applu, 7.1k requests: 6.3 ms ->
+#: 8.2-9.7 ms), while the 12k- and 25k-request traces were unchanged.
 AUTO_VECTOR_MIN_REQUESTS = 8192
 
 #: Maximum scalar-window length (in requests) while timed directives are
@@ -1211,19 +1216,21 @@ def _replay_segmented(
       in-flight transition (the state machine parks it in
       ``_pending_action``, whose completion chaining the mirror does not
       model);
-    * ``fallback_auto_spindown`` — the disk runs an autonomous spin-down
-      policy, so ``advance``'s fire check must arbitrate the edit;
-    * ``fallback_spinup_fault`` — the spin-up would draw a fault (jittered
-      retry chains live in ``Disk``);
-    * ``fallback_standby_wake`` — a request found the disk spun down (the
-      serve-path spin-up, including its fault draws, runs exactly);
+    * ``fallback_spinup_fault`` — a spin-up (a directive's or a standby
+      wake-up's) would draw a fault (jittered retry chains live in
+      ``Disk``);
     * ``fallback_fault_flagged`` — the sub-request carries transient
       errors (``serve_faulty`` replays every retry on ``Disk.serve``).
 
-    A mirror transition is *serveable*: a request that arrives while a
-    mirror-initiated spin-up or RPM shift is in flight waits it out with
-    the slow-path arithmetic (partial accrual, completion, idle settle at
-    the new level) without leaving the batched path.
+    ``fallback_auto_spindown`` and ``fallback_standby_wake`` stay in the
+    counter set (run manifests and metrics keep their schema) and read 0:
+    a call on an auto-spin-down disk runs ``advance``'s fire rule in
+    mirror first, and every mirror state is *serveable* — a
+    request that finds its disk mid-transition, due for an autonomous
+    spin-down, or in standby runs ``Disk.serve``'s slow path in mirror
+    (partial accrual, completion, fire, standby accrual, ``standby-wake``
+    spin-up, service at ``max(t, ready, cursor)``) without leaving the
+    batched path.
 
     When ``drpm`` (a :class:`~repro.disksim.params.DRPMParams`) is given,
     the reactive-DRPM window heuristic runs *in kernel*: the per-sub
@@ -1334,10 +1341,11 @@ def _replay_segmented(
 
     #: Reactive TPM: any disk may autonomously spin down after its idleness
     #: threshold.  The scalar kernel performs the exact due check per
-    #: sub-request (``advance``'s fire condition) and routes due serves
-    #: through the state machine; the vector kernel has no per-sub check,
-    #: so its windows are bounded at the earliest possible fire instant
-    #: (see ``vnext`` below) where the scalar kernel takes over.
+    #: sub-request (``advance``'s fire condition) and runs due serves on
+    #: the mirror slow path (``_sub_slow``); the vector kernel has no
+    #: per-sub check, so its windows are bounded at the earliest possible
+    #: fire instant (see ``vnext`` below) where the scalar kernel takes
+    #: over.
     auto_active = any(d.auto_spindown_threshold_s is not None for d in disks)
 
     # In-kernel reactive DRPM (see docstring).  The baseline row is the
@@ -1391,7 +1399,7 @@ def _replay_segmented(
     # lazily afterwards (the sync contract lives in
     # :mod:`repro.disksim.diskarray`).  The columns are bound to locals so
     # the kernel loops index the shared list objects directly.
-    da = DiskArray(disks, row_list, level_row, idle_w_by, active_w_by, auto_active)
+    da = DiskArray(disks, row_list, level_row, idle_w_by, active_w_by)
     bank = da.bank
     m_valid = da.valid
     m_cur = da.cur
@@ -1420,7 +1428,6 @@ def _replay_segmented(
     m_tr_end = da.tr_end
     m_tr_pw = da.tr_pw
     m_tr_si = da.tr_si
-    m_tr_sb = da.tr_sb
     m_tr_rpm = da.tr_rpm
     m_tr_cause = da.tr_cause
     m_standby = da.standby
@@ -1479,24 +1486,18 @@ def _replay_segmented(
                 )
             cov["directive_mid_service"] += 1
             t = c
-        # Entanglement checks — these are the only calls that leave the
-        # batched path.
+        # ``advance(t)``'s prologue on the mirror: due completions, an auto
+        # spin-down that fell due first, then the base-state settle.  A
+        # transition still in flight at ``t`` entangles the call — with the
+        # spin-up faults below, the only calls that leave the batched path.
+        m_dirty[dk] = True
         reason = None
-        e = m_tr_end[dk]
-        if m_thr[dk] is not None:
-            reason = "auto_spindown"
-        elif e is not None:
-            if e > t + 1e-9:
-                reason = "transition_entangled"
-            else:
-                # Due transition: complete it first, exactly as the
-                # ``advance(t)`` prologue of every power call would.  The
-                # completion may land within EPS past ``t``; the cursor
-                # then stays at the completion instant.
-                _complete_m(dk)
-                c = m_cur[dk]
-                if t < c:
-                    t = c
+        if _advance_m(dk, t):
+            reason = "transition_entangled"
+        elif t < m_cur[dk]:
+            # A completion landed within EPS past ``t``: the call takes
+            # effect at the completion instant.
+            t = m_cur[dk]
         if (
             reason is None
             and action is PowerAction.SPIN_UP
@@ -1516,24 +1517,6 @@ def _replay_segmented(
             apply_call(target, t, call, cause or CAUSE_EXTERNAL)
             _refresh(dk)
             return
-        # Settle the base state from the mirror cursor to the call instant
-        # (``_settle_idle``'s arithmetic), then dispatch.
-        if t > c:
-            dur = t - c
-            if m_standby[dk]:
-                m_sb_t[dk] += dur
-                m_sb_e[dk] += dur * standby_w
-                if recording:
-                    rec_seg(dk, "standby", c, t, standby_w, 0)
-            else:
-                m_idle_t[dk] += dur
-                m_idle_e[dk] += dur * m_iw[dk]
-                m_brpm[dk] += dur
-                m_anyidle[dk] = True
-                if recording:
-                    rec_seg(dk, "idle", c, t, m_iw[dk], m_rpm[dk])
-            m_cur[dk] = t
-        m_dirty[dk] = True
         if is_rpm:
             if m_standby[dk]:
                 raise SimulationError(
@@ -1551,67 +1534,125 @@ def _replay_segmented(
             if not m_standby[dk]:
                 stats_l[dk].num_spin_downs += 1
                 _begin(dk, t, sd_dur, sd_pw, "spin_down", None, True, cause)
-        else:  # SPIN_UP
-            if m_standby[dk]:
-                stats_l[dk].num_spin_ups += 1
-                since = m_sb_since[dk]
-                if since is not None:
-                    m_last_sb[dk] = t - since if t > since else 0.0
-                    m_sb_since[dk] = None
-                if fault_plan is not None:
-                    m_spseq[dk] += 1
-                _begin(dk, t, su_dur, su_pw, "spin_up", None, False, cause)
+        elif m_standby[dk]:  # SPIN_UP of a spun-down disk
+            _spin_up_m(dk, t, cause)
         dir_edits_c += 1
 
-    def _sub_slow(d: int, j: int, t: float, errs: int) -> float:
-        """Serve sub-request ``j`` on a hot (or faulty) disk at ``t``.
+    def _spin_up_m(d: int, t: float, cause: str) -> None:
+        """``Disk._start_spin_up`` on a standby mirror whose spin-up draws
+        no fault (the caller has checked)."""
+        stats_l[d].num_spin_ups += 1
+        since = m_sb_since[d]
+        if since is not None:
+            m_last_sb[d] = t - since if t > since else 0.0
+            m_sb_since[d] = None
+        if fault_plan is not None:
+            m_spseq[d] += 1
+        _begin(d, t, su_dur, su_pw, "spin_up", None, False, cause)
 
-        A faultless mirror transition not headed to standby is waited out
-        in mirror — the serve slow path's exact arithmetic (partial
-        accrual, completion, idle settle at the new level, then service at
-        ``max(t, ready, cursor)``).  Everything else flushes and runs the
-        state machine, re-mirroring afterwards.
-        """
-        nonlocal fired
-        if (
-            errs == 0
-            and m_valid[d]
-            and m_tr_end[d] is not None
-            and not m_tr_sb[d]
-        ):
+    def _advance_m(d: int, t: float) -> bool:
+        """``Disk.advance(t)`` on mirrored disk ``d`` (``t`` at or past
+        its cursor): complete due transitions, fire a due auto spin-down
+        (settle idle to ``max(cursor, fire_at)``, disarm, start the
+        spin-down), then settle the base state to ``t``.  Returns True
+        when a transition is still in flight at ``t`` (accrued partially
+        up to ``t``, exactly as ``advance`` leaves it)."""
+        while True:
             e = m_tr_end[d]
             c = m_cur[d]
-            ta = t if t > c else c
-            if e > ta + 1e-9:
-                # Mid-transition: partial accrual to the issue time, then
-                # completion at the transition end (``advance(ta)`` +
-                # ``advance(end)``, two sequential adds).
-                dur = ta - c if ta > c else 0.0
+            if e is not None:
+                if e <= t + 1e-9:
+                    _complete_m(d)
+                    continue
                 si = m_tr_si[d]
+                dur = t - c if t > c else 0.0
                 bank_time[si][d] += dur
                 bank_energy[si][d] += dur * m_tr_pw[d]
-                if recording and ta > c:
-                    rec_seg(
-                        d, STATE_NAMES[si], c, ta, m_tr_pw[d],
-                        m_tr_rpm[d] or m_rpm[d], m_tr_cause[d],
-                    )
-                if ta > c:
-                    m_cur[d] = ta
-                _complete_m(d)
-            else:
-                # Due: complete, then settle idle to the issue time at the
-                # post-transition level.
-                _complete_m(d)
-                c2 = m_cur[d]
-                if ta > c2:
-                    dur = ta - c2
-                    m_idle_t[d] += dur
-                    m_idle_e[d] += dur * m_iw[d]
-                    m_brpm[d] += dur
-                    m_anyidle[d] = True
+                if t > c:
                     if recording:
-                        rec_seg(d, "idle", c2, ta, m_iw[d], m_rpm[d])
-                    m_cur[d] = ta
+                        rec_seg(
+                            d, STATE_NAMES[si], c, t, m_tr_pw[d],
+                            m_tr_rpm[d] or m_rpm[d], m_tr_cause[d],
+                        )
+                    m_cur[d] = t
+                return True
+            if m_standby[d]:
+                if t > c:
+                    dur = t - c
+                    m_sb_t[d] += dur
+                    m_sb_e[d] += dur * standby_w
+                    if recording:
+                        rec_seg(d, "standby", c, t, standby_w, 0)
+                    m_cur[d] = t
+                return False
+            thr = m_thr[d]
+            if thr is not None and m_armed[d]:
+                fire_at = m_anchor[d] + thr
+                if fire_at < t - 1e-9:
+                    if fire_at > c:
+                        dur = fire_at - c
+                        m_idle_t[d] += dur
+                        m_idle_e[d] += dur * m_iw[d]
+                        m_brpm[d] += dur
+                        m_anyidle[d] = True
+                        if recording:
+                            rec_seg(d, "idle", c, fire_at, m_iw[d], m_rpm[d])
+                        m_cur[d] = fire_at
+                    m_armed[d] = False
+                    stats_l[d].num_spin_downs += 1
+                    _begin(
+                        d, m_cur[d], sd_dur, sd_pw, "spin_down", None, True,
+                        CAUSE_TPM_AUTO,
+                    )
+                    continue
+            if t > c:
+                dur = t - c
+                m_idle_t[d] += dur
+                m_idle_e[d] += dur * m_iw[d]
+                m_brpm[d] += dur
+                m_anyidle[d] = True
+                if recording:
+                    rec_seg(d, "idle", c, t, m_iw[d], m_rpm[d])
+                m_cur[d] = t
+            return False
+
+    def _sub_slow(d: int, j: int, t: float, errs: int) -> float:
+        """Serve sub-request ``j`` on a hot, faulty or fire-due disk at ``t``.
+
+        A mirrored disk runs ``Disk.serve``'s slow path in mirror:
+        ``advance`` to the issue time (completions, an auto spin-down
+        fire), wait out any transition, wake from standby with a
+        ``standby-wake`` spin-up, then serve at ``max(t, ready, cursor)``.
+        A fault-flagged sub-request, an exact-routed disk, and a wake-up
+        whose spin-up would draw a fault flush and run the state machine
+        (the latter resumes from the mirror's state, which is exactly
+        where ``serve`` would stand), re-mirroring afterwards.
+        """
+        nonlocal fired
+        if errs == 0 and m_valid[d]:
+            c = m_cur[d]
+            m_dirty[d] = True
+            _advance_m(d, t if t > c else c)
+            woke = True
+            while True:
+                e = m_tr_end[d]
+                if e is not None:
+                    _advance_m(d, e)
+                    continue
+                if m_standby[d]:
+                    if (
+                        fault_plan is not None
+                        and fault_plan.spinup_fault(d, m_spseq[d]) is not None
+                    ):
+                        cov["fallback_spinup_fault"] += 1
+                        woke = False
+                        break
+                    _spin_up_m(d, m_cur[d], CAUSE_STANDBY_WAKE)
+                    continue
+                break
+        else:
+            woke = False
+        if woke:
             start = t
             r = m_rdy[d]
             if r > start:
@@ -1641,8 +1682,6 @@ def _replay_segmented(
         else:
             if m_valid[d]:
                 _flush(d)
-                if errs == 0:
-                    cov["fallback_standby_wake"] += 1
             if errs:
                 cov["fallback_fault_flagged"] += 1
                 done = disks[d].serve_faulty(t, nb_l[j], seek_name_l[j], errs)
@@ -1859,31 +1898,47 @@ def _replay_segmented(
                     wv - ri >= VECTOR_MIN_REQUESTS
                     and indptr_l[wv] - indptr_l[ri] >= min_subs
                 ):
-                    # The vector kernel reads and writes the Disk objects
-                    # directly, so any live mirrors hand back first.
-                    da.sync_to_disks()
-                    mirrors_stale = True
+                    # Latest busy edge over the window's disks: a live row
+                    # holds the values a flush would write, a stale row's
+                    # Disk is current.  A first arrival before it (open-
+                    # loop queueing) trips the kernel's overlap guard on
+                    # request zero, so that probe is answered here without
+                    # the sync or the kernel call.
                     pc0 = 0.0
-                    for disk in disks:
-                        if not (hot >> disk.disk_id) & 1:
-                            c = disk.cursor_s
-                            r = disk.ready_s
+                    for d in range(num_disks):
+                        if not (hot >> d) & 1:
+                            if m_valid[d]:
+                                c = m_cur[d]
+                                r = m_rdy[d]
+                            else:
+                                disk = disks[d]
+                                c = disk.cursor_s
+                                r = disk.ready_s
                             m = c if c >= r else r
                             if m > pc0:
                                 pc0 = m
-                    ri0 = ri
-                    ri, delay, bailed = _run_vector(
-                        plan, geom, tables, disks, req_times, ri, wv, delay,
-                        vnext, pc0, hot, responses, busy, collect,
-                        rpm_counts, drpm_fold, tl_rec, open_loop,
-                    )
-                    if ri > ri0:
-                        seg_open = False
-                    # On a guard trip the scalar kernel absorbs the
-                    # overlapping request (it models queueing exactly)
-                    # and carries the rest of the window.
-                    if not bailed:
-                        continue
+                    t_first = req_times[ri] + delay
+                    if t_first < vnext and t_first < pc0:
+                        cov["bailouts"] += 1
+                    else:
+                        # The vector kernel reads and writes the Disk
+                        # objects directly, so any live mirrors hand back
+                        # first.
+                        da.sync_to_disks()
+                        mirrors_stale = True
+                        ri0 = ri
+                        ri, delay, bailed = _run_vector(
+                            plan, geom, tables, disks, req_times, ri, wv,
+                            delay, vnext, pc0, hot, responses, busy, collect,
+                            rpm_counts, drpm_fold, tl_rec, open_loop,
+                        )
+                        if ri > ri0:
+                            seg_open = False
+                        # On a guard trip the scalar kernel absorbs the
+                        # overlapping request (it models queueing exactly)
+                        # and carries the rest of the window.
+                        if not bailed:
+                            continue
             elif use_vector:
                 short_run_c += 1
 
@@ -1918,7 +1973,6 @@ def _replay_segmented(
                 reqmask = geom.request_masks()
             k = ri
             fired = 0
-            brk = False
             jlo = indptr_l[ri]
             while k < we:
                 t = req_times[k] + delay
@@ -1967,27 +2021,10 @@ def _replay_segmented(
                                 < (t if t > c else c) - 1e-9
                             ):
                                 # The idleness threshold elapsed before
-                                # this serve: run the spin-down / standby
-                                # / spin-up sequence through the exact
-                                # state machine, then re-mirror the disk.
-                                cov["fallback_auto_spindown"] += 1
-                                _flush(d)
-                                done = serves[d](t, nb_l[j], seek_name_l[j])
-                                _refresh(d)
+                                # this serve: the fire, standby and
+                                # wake-up run in mirror on the slow path.
+                                done = _sub_slow(d, j, t, 0)
                                 hot = da.hot
-                                fired += 1
-                                brk = True
-                                if counting:
-                                    r2 = disks[d].rpm
-                                    rpm_counts[r2] = rpm_counts.get(r2, 0) + 1
-                                if collect:
-                                    busy[d].append(
-                                        BusyInterval(
-                                            d,
-                                            disks[d].last_service_start_s,
-                                            done,
-                                        )
-                                    )
                                 if done > comp:
                                     comp = done
                                 continue
@@ -2076,11 +2113,6 @@ def _replay_segmented(
                 if not open_loop:
                     delay += resp
                 k += 1
-                if brk:
-                    # An auto spin-down fired: return to the driver after
-                    # this request so the next quiescent stretch can
-                    # re-probe for a vector window with a fresh fire bound.
-                    break
             if k > ri:
                 if not seg_open:
                     seg_open = True

@@ -16,6 +16,9 @@ estimation error.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+
 from ..controllers.oracle import oracle_decisions
 from ..power.planner import GapDecision
 from ..workloads.registry import WORKLOAD_NAMES
@@ -35,21 +38,40 @@ def misprediction_pct(
     oracle: list[GapDecision], compiler: list[GapDecision]
 ) -> float:
     """Fraction (%) of oracle idleness periods where the compiler picked a
-    different level (or none at all)."""
-    by_disk: dict[int, list[GapDecision]] = {}
-    for d in compiler:
-        by_disk.setdefault(d.gap.disk, []).append(d)
+    different level (or none at all).
+
+    Each oracle gap is matched to the first compiler decision (in list
+    order) on its disk whose overlap with it is the largest positive one.
+    Per disk, the decisions are sorted by start with a running maximum of
+    their ends, so two bisects bound the only candidates that can overlap
+    a gap: those starting before it ends, from the first whose running
+    end passes its start.
+    """
+    groups: dict[int, list[tuple[float, int, GapDecision]]] = {}
+    for i, d in enumerate(compiler):
+        groups.setdefault(d.gap.disk, []).append((d.gap.start_s, i, d))
+    index = {}
+    for disk, items in groups.items():
+        items.sort(key=lambda item: item[:2])
+        starts = [item[0] for item in items]
+        reach = list(accumulate((item[2].gap.end_s for item in items), max))
+        index[disk] = (starts, reach, items)
     total = 0
     wrong = 0
     for od in oracle:
         total += 1
-        candidates = by_disk.get(od.gap.disk, [])
         best = None
         best_ov = 0.0
-        for cd in candidates:
-            ov = _overlap(od, cd)
-            if ov > best_ov:
-                best, best_ov = cd, ov
+        best_i = -1
+        entry = index.get(od.gap.disk)
+        if entry is not None:
+            starts, reach, items = entry
+            lo = bisect_right(reach, od.gap.start_s)
+            hi = bisect_left(starts, od.gap.end_s)
+            for _, i, cd in items[lo:hi]:
+                ov = _overlap(od, cd)
+                if ov > best_ov or (best is not None and ov == best_ov and i < best_i):
+                    best, best_ov, best_i = cd, ov, i
         if best is None:
             wrong += 1
             continue

@@ -154,7 +154,70 @@ def _iter_text(path: Path) -> Iterator[tuple[float, int, int, int, bool]]:
             yield arrival, device, lba, nbytes, parts[4] == "W"
 
 
-def _iter_binary(path: Path) -> Iterator[tuple[float, int, int, int, bool]]:
+#: ``_BIN_RECORD`` as a packed NumPy record dtype: one ``np.frombuffer``
+#: decodes a whole block of records.
+_BIN_DTYPE = np.dtype(
+    [
+        ("arrival", "<f8"),
+        ("device", "<u4"),
+        ("lba", "<i8"),
+        ("nbytes", "<i8"),
+        ("kind", "u1"),
+    ]
+)
+assert _BIN_DTYPE.itemsize == _BIN_RECORD.size
+
+#: Records per block of the whole-file binary readers.
+_BIN_BLOCK = 1 << 16
+
+#: LBAs at or above this overflow int64 once scaled to bytes.
+_LBA_INT64_LIMIT = (1 << 63) // SECTOR_BYTES
+
+_ORDER_HINT = "(trace must be time-ordered)"
+_SORT_HINT = (
+    "(trace must be time-ordered; pass sort=True to reorder a whole-file "
+    "ingest)"
+)
+
+
+def _binary_error(recs: np.ndarray, base: int) -> tuple[int, TraceError] | None:
+    """The first invalid record of a decoded block and its error, checked
+    in the record reader's order: kind byte, arrival, LBA, size."""
+    kind = recs["kind"]
+    arrival = recs["arrival"]
+    bad_kind = kind > 1
+    bad_arrival = ~np.isfinite(arrival) | (arrival < 0)
+    bad_lba = recs["lba"] < 0
+    bad_size = recs["nbytes"] <= 0
+    bad = bad_kind | bad_arrival | bad_lba | bad_size
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    where = f"record {base + i}"
+    if bad_kind[i]:
+        return i, TraceError(
+            f"{where}: bad request kind byte {int(kind[i])} "
+            "(expected 0=read or 1=write)"
+        )
+    if bad_arrival[i]:
+        return i, TraceError(f"{where}: bad arrival time {float(arrival[i])!r}")
+    if bad_lba[i]:
+        return i, TraceError(f"{where}: negative LBA {int(recs['lba'][i])}")
+    return i, TraceError(
+        f"{where}: request size must be positive, got {int(recs['nbytes'][i])}"
+    )
+
+
+def _binary_blocks(path: Path, block: int) -> Iterator[np.ndarray]:
+    """Validated blocks of up to ``block`` binary records, in file order.
+
+    Errors surface exactly where a record-at-a-time reader raises them:
+    the valid records ahead of the first bad one (or of a truncation) are
+    yielded first, as a short block, and the :class:`TraceError` follows
+    — so a consumer's own checks on those records (time order) still win.
+    A short block is therefore always the last one before the end of the
+    file or an error.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
         if head != BINARY_MAGIC:
@@ -165,26 +228,75 @@ def _iter_binary(path: Path) -> Iterator[tuple[float, int, int, int, bool]]:
         if len(count_raw) != _BIN_COUNT.size:
             raise TraceError("truncated binary trace header")
         (count,) = _BIN_COUNT.unpack(count_raw)
-        size = _BIN_RECORD.size
-        for recno in range(count):
-            raw = fh.read(size)
-            if len(raw) != size:
+        size = _BIN_DTYPE.itemsize
+        done = 0
+        while done < count:
+            want = min(block, count - done)
+            raw = fh.read(want * size)
+            got = len(raw) // size
+            recs = np.frombuffer(raw, dtype=_BIN_DTYPE, count=got)
+            err = _binary_error(recs, done)
+            if err is not None:
+                if err[0]:
+                    yield recs[: err[0]]
+                raise err[1]
+            if got:
+                yield recs
+            if got < want:
                 raise TraceError(
-                    f"truncated binary trace: record {recno} of {count} "
+                    f"truncated binary trace: record {done + got} of {count} "
                     f"is incomplete"
                 )
-            arrival, device, lba, nbytes, kind = _BIN_RECORD.unpack(raw)
-            if kind not in (0, 1):
-                raise TraceError(
-                    f"record {recno}: bad request kind byte {kind} "
-                    "(expected 0=read or 1=write)"
-                )
-            _check_record(f"record {recno}", arrival, lba, nbytes)
-            yield arrival, device, lba, nbytes, bool(kind)
+            done += got
         if fh.read(1):
             raise TraceError(
                 f"binary trace has trailing bytes after {count} records"
             )
+
+
+def _iter_binary(path: Path) -> Iterator[tuple[float, int, int, int, bool]]:
+    for recs in _binary_blocks(path, _BIN_BLOCK):
+        yield from zip(
+            recs["arrival"].tolist(),
+            recs["device"].tolist(),
+            recs["lba"].tolist(),
+            recs["nbytes"].tolist(),
+            (recs["kind"] == 1).tolist(),
+        )
+
+
+def _check_order(arrival: np.ndarray, prev: float, base: int, hint: str) -> None:
+    """Raise at the first record of a block whose arrival precedes the
+    previous record's (``prev`` is the arrival ahead of the block)."""
+    prevs = np.empty_like(arrival)
+    prevs[0] = prev
+    prevs[1:] = arrival[:-1]
+    back = arrival < prevs
+    if back.any():
+        i = int(np.argmax(back))
+        raise TraceError(
+            f"record {base + i}: arrival {float(arrival[i])} precedes "
+            f"previous {float(prevs[i])} {hint}"
+        )
+
+
+def _byte_offsets(lba: np.ndarray):
+    """``lba * SECTOR_BYTES`` per record; exact Python ints when the
+    product would overflow int64 (as the record reader computes it)."""
+    if int(lba.max()) >= _LBA_INT64_LIMIT:
+        return [v * SECTOR_BYTES for v in lba.tolist()]
+    return lba * SECTOR_BYTES
+
+
+def _max_extent(recs: np.ndarray) -> int:
+    """Largest ``lba * SECTOR_BYTES + nbytes`` of a block, exactly."""
+    lba = recs["lba"]
+    nbytes = recs["nbytes"]
+    if int(lba.max()) < 1 << 53 and int(nbytes.max()) < 1 << 62:
+        return int((lba * SECTOR_BYTES + nbytes).max())
+    return max(
+        v * SECTOR_BYTES + b for v, b in zip(lba.tolist(), nbytes.tolist())
+    )
 
 
 def read_records(
@@ -324,11 +436,30 @@ def scan_trace(path: str | Path, fmt: str = "auto", strict: bool = True) -> Inge
     last = 0.0
     max_extent = 0
     prev = -1.0
+    path = Path(path)
+    if fmt == "auto":
+        fmt = _detect_format(path)
+    if fmt == "binary":
+        for recs in _binary_blocks(path, _BIN_BLOCK):
+            arrival = recs["arrival"]
+            if strict:
+                _check_order(arrival, prev, n, _ORDER_HINT)
+            prev = float(arrival[-1])
+            n += len(recs)
+            max_dev = max(max_dev, int(recs["device"].max()))
+            last = max(last, float(arrival.max()))
+            max_extent = max(max_extent, _max_extent(recs))
+        return IngestScan(
+            num_records=n,
+            num_devices=max_dev + 1,
+            last_arrival_s=last,
+            max_extent_bytes=max_extent,
+        )
     for arrival, device, lba, nbytes, _ in read_records(path, fmt):
         if strict and arrival < prev:
             raise TraceError(
                 f"record {n}: arrival {arrival} precedes previous {prev} "
-                "(trace must be time-ordered)"
+                f"{_ORDER_HINT}"
             )
         prev = arrival
         n += 1
@@ -376,15 +507,15 @@ def _columns_factory(layout: SubsystemLayout, num_devices: int):
         base: int,
     ) -> RequestColumns:
         n = len(times)
-        dev_arr = np.asarray(devs, dtype=np.int64)
+        dev_arr = np.array(devs, dtype=np.int64)
         if dev_arr.size and int(dev_arr.max()) >= num_devices:
             bad = int(np.argmax(dev_arr >= num_devices))
             raise TraceError(
                 f"record {base + bad}: device {int(dev_arr[bad])} out of "
                 f"range (trace has {num_devices} devices)"
             )
-        off_arr = np.asarray(offs, dtype=np.int64)
-        size_arr = np.asarray(sizes, dtype=np.int64)
+        off_arr = np.array(offs, dtype=np.int64)
+        size_arr = np.array(sizes, dtype=np.int64)
         over = off_arr + size_arr > capacity
         if over.any():
             bad = int(np.argmax(over))
@@ -394,17 +525,52 @@ def _columns_factory(layout: SubsystemLayout, num_devices: int):
                 f"overflows the device capacity of {capacity} bytes"
             )
         return RequestColumns(
-            nominal_time_s=np.asarray(times, dtype=np.float64),
+            nominal_time_s=np.array(times, dtype=np.float64),
             array_id=dev_arr,
             offset=off_arr,
             nbytes=size_arr,
-            is_write=np.asarray(writes, dtype=bool),
+            is_write=np.array(writes, dtype=bool),
             nest=np.full(n, UNKNOWN_POSITION, dtype=np.int64),
             iteration=np.full(n, UNKNOWN_POSITION, dtype=np.int64),
             array_names=names,
         )
 
     return build
+
+
+def _build_records(build, recs: np.ndarray, base: int) -> RequestColumns:
+    """Columns of a block of decoded binary records."""
+    return build(
+        recs["arrival"], recs["device"], _byte_offsets(recs["lba"]),
+        recs["nbytes"], recs["kind"] == 1, base,
+    )
+
+
+def _iter_binary_chunks(
+    path: Path, build, chunk_requests: int
+) -> Iterator[RequestColumns]:
+    base = 0
+    prev = -1.0
+    tail = None
+    for recs in _binary_blocks(path, chunk_requests):
+        arrival = recs["arrival"]
+        _check_order(arrival, prev, base, _ORDER_HINT)
+        prev = float(arrival[-1])
+        if len(recs) < chunk_requests:
+            # The last block, or the records ahead of an error: only the
+            # end of the file may yield a short chunk.
+            tail = recs
+            continue
+        cols = _build_records(build, recs, base)
+        base += len(cols)
+        _metrics.inc("ingest.requests", len(cols), format="binary")
+        _metrics.inc("ingest.chunks", format="binary")
+        yield cols
+    if tail is not None:
+        cols = _build_records(build, tail, base)
+        _metrics.inc("ingest.requests", len(cols), format="binary")
+        _metrics.inc("ingest.chunks", format="binary")
+        yield cols
 
 
 def _iter_chunks(
@@ -415,6 +581,9 @@ def _iter_chunks(
     chunk_requests: int,
 ) -> Iterator[RequestColumns]:
     build = _columns_factory(layout, num_devices)
+    if fmt == "binary":
+        yield from _iter_binary_chunks(path, build, chunk_requests)
+        return
     times: list[float] = []
     devs: list[int] = []
     offs: list[int] = []
@@ -427,7 +596,7 @@ def _iter_chunks(
         if arrival < prev:
             raise TraceError(
                 f"record {n}: arrival {arrival} precedes previous {prev} "
-                "(trace must be time-ordered)"
+                f"{_ORDER_HINT}"
             )
         prev = arrival
         n += 1
@@ -480,6 +649,16 @@ def ingest_trace(
     )
     layout = device_layout(num_devices, num_disks, mapping, device_capacity_bytes)
     build = _columns_factory(layout, num_devices)
+    if fmt == "binary":
+        cols = _ingest_binary(path, build, sort)
+        _metrics.inc("ingest.requests", len(cols), format=fmt)
+        _metrics.inc("ingest.traces", format=fmt)
+        return Trace(
+            program_name=program_name or path.stem,
+            layout=layout,
+            total_compute_s=float(cols.nominal_time_s[-1]),
+            columns=cols,
+        )
     times: list[float] = []
     devs: list[int] = []
     offs: list[int] = []
@@ -490,8 +669,7 @@ def ingest_trace(
         if not sort and arrival < prev:
             raise TraceError(
                 f"record {len(times)}: arrival {arrival} precedes previous "
-                f"{prev} (trace must be time-ordered; pass sort=True to "
-                "reorder a whole-file ingest)"
+                f"{prev} {_SORT_HINT}"
             )
         prev = arrival
         times.append(arrival)
@@ -517,6 +695,27 @@ def ingest_trace(
         total_compute_s=float(times[-1]),
         columns=cols,
     )
+
+
+def _ingest_binary(path: Path, build, sort: bool) -> RequestColumns:
+    """Whole-file binary ingest: the record blocks, time-order checked
+    (or stably sorted) and built into one column set."""
+    blocks = []
+    n = 0
+    prev = -1.0
+    for recs in _binary_blocks(path, _BIN_BLOCK):
+        arrival = recs["arrival"]
+        if not sort:
+            _check_order(arrival, prev, n, _SORT_HINT)
+        prev = float(arrival[-1])
+        n += len(recs)
+        blocks.append(recs)
+    if not blocks:
+        raise TraceError(f"trace {path.name!r} contains no requests")
+    recs = np.concatenate(blocks)
+    if sort:
+        recs = recs[np.argsort(recs["arrival"], kind="stable")]
+    return _build_records(build, recs, 0)
 
 
 def stream_ingest(

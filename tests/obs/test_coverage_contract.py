@@ -21,6 +21,7 @@ from repro.disksim.simulator import (
     reset_replay_coverage,
     simulate,
 )
+from repro.faults import FaultConfig, FaultRates
 from repro.layout.files import FileEntry, SubsystemLayout
 from repro.layout.striping import Striping
 from repro.trace.request import IORequest, Trace
@@ -40,13 +41,18 @@ def _trace(num_requests=96, gap_s=1.0):
 
 
 def _run_mixed_replays():
-    """Several replays over both engines, including in-kernel spin-downs
-    (whose fire-arbitrating serves escape as ``fallback_auto_spindown``)."""
+    """Several replays over both engines, including a reactive-TPM
+    replay with transient sub-request errors (whose flagged serves escape
+    to the exact retry state machine as ``fallback_fault_flagged``)."""
     params = SubsystemParams(num_disks=2)
     simulate(_trace(), params)  # segmented, vector-heavy
     simulate(_trace(), params, engine="stepwise")
-    # Gap > threshold: autonomous spin-downs fire, serves escape per-sub.
-    simulate(_trace(gap_s=2.0), params, ReactiveTPM(0.5))
+    # Gap > threshold: autonomous spin-downs fire in-kernel; the flagged
+    # sub-requests escape per-sub.
+    simulate(
+        _trace(gap_s=2.0), params, ReactiveTPM(0.5),
+        faults=FaultConfig(seed=5, rates=FaultRates(request_error_p=0.2)),
+    )
 
 
 def test_registry_mirror_equals_module_counters_after_many_replays():
@@ -56,7 +62,7 @@ def test_registry_mirror_equals_module_counters_after_many_replays():
     cov = replay_coverage()
     assert cov["replays_segmented"] >= 2
     assert cov["replays_stepwise"] == 1
-    assert cov["fallback_auto_spindown"] > 0
+    assert cov["fallback_fault_flagged"] > 0
     for key, value in cov.items():
         assert obs.metrics.counter("sim.coverage." + key) == value, key
 
@@ -66,10 +72,10 @@ def test_fallback_reasons_mirrored_once():
     reset_replay_coverage()
     _run_mixed_replays()
     cov = replay_coverage()
-    assert cov["fallback_auto_spindown"] > 0
+    assert cov["fallback_fault_flagged"] > 0
     assert (
-        obs.metrics.counter("sim.fallbacks", reason="auto-spindown")
-        == cov["fallback_auto_spindown"]
+        obs.metrics.counter("sim.fallbacks", reason="fault-flagged")
+        == cov["fallback_fault_flagged"]
     )
 
 
