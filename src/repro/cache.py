@@ -23,20 +23,32 @@ hash-randomized sets or dicts participate), making the key a true content
 address.  Entries are written atomically (temp file + ``os.replace``), so
 concurrent worker processes may share one cache directory.
 
+Every artifact of ``repro-experiments all`` is served from here: scheme
+suites through ``run_schemes(..., cache=...)``, and runs derived from a
+suite (a variant controller, planner setting or estimation model) under
+``scheme_key(suite_fingerprint, tag)``, all via
+:meth:`ResultCache.load_or_compute`.  A warm ``all`` therefore replays,
+plans and generates nothing.  Results pickle each disk's busy intervals
+as one ``(n, 2)`` float64 column array (see
+:class:`~repro.disksim.stats.SimulationResult`), and :meth:`ResultCache.
+load` unpickles with the cyclic GC paused.
+
 Disable with ``REPRO_CACHE=0`` (or ``--no-cache`` on the experiment CLI);
 point elsewhere with ``REPRO_CACHE_DIR=/path``.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
 import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
+from . import obs
 from .obs import metrics as _metrics
 
 logger = logging.getLogger(__name__)
@@ -56,7 +68,9 @@ __all__ = [
 #: results — stale entries from older code versions then never match.
 #: v2: DiskStats grew fault counters and suite fingerprints gained the
 #: fault regime (fault configs must never alias clean runs).
-CACHE_VERSION = 2
+#: v3: SimulationResult pickles each disk's busy intervals as one
+#: ``(n, 2)`` float64 column array.
+CACHE_VERSION = 3
 
 #: Bump whenever the trace generator's output could change (request
 #: emission order, coalescing, chunking, cache-filter semantics) — cached
@@ -69,6 +83,8 @@ _ENV_TOGGLE = "REPRO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
 
 _FALSY = {"0", "false", "no", "off"}
+
+T = TypeVar("T")
 
 
 def fingerprint(*parts: str) -> str:
@@ -159,7 +175,16 @@ class ResultCache:
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
-                envelope = pickle.load(fh)
+                # A cached payload is an acyclic tree of tuples and arrays,
+                # so cyclic-GC passes triggered by its allocations find
+                # nothing to free: pause the collector while unpickling.
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    envelope = pickle.load(fh)
+                finally:
+                    if gc_was_enabled:
+                        gc.enable()
         except Exception:
             # Absent, truncated, or corrupted entries (unpickling raises
             # anything from OSError to ValueError) all degrade to a miss.
@@ -200,6 +225,21 @@ class ResultCache:
             logger.debug("cache store of %s failed", key[:12], exc_info=True)
         else:
             _metrics.inc("cache.stores")
+
+    def load_or_compute(
+        self, key: str, compute: Callable[[], T], event: str | None = None,
+        **attrs: Any,
+    ) -> T:
+        """The entry under ``key``; on a miss, ``compute()`` it and store
+        the result.  ``event`` names an optional obs instant event that
+        records the probe's ``outcome`` (``hit``/``miss``) with ``attrs``."""
+        value = self.load(key)
+        if event is not None:
+            obs.event(event, outcome="miss" if value is None else "hit", **attrs)
+        if value is None:
+            value = compute()
+            self.store(key, value)
+        return value
 
     def clear(self) -> None:
         """Remove every cached entry (keeps the root directory)."""

@@ -10,6 +10,8 @@ It also retains per-disk busy intervals, which the oracle controllers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -111,6 +113,26 @@ class SimulationResult:
             raise SimulationError("negative execution time")
 
     # ------------------------------------------------------------------ #
+    # Pickling (result cache, worker pipes): each disk's busy intervals
+    # travel as one ``(n, 2)`` float64 ``[start, end]`` array instead of n
+    # tuples; loading rebuilds the same ``BusyInterval`` tuples (float64
+    # round-trips exactly, and the disk index is the tuple position).
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["busy_intervals"] = tuple(
+            _intervals_to_columns(disk, intervals)
+            for disk, intervals in enumerate(self.busy_intervals)
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state["busy_intervals"] = tuple(
+            _columns_to_intervals(disk, columns)
+            for disk, columns in enumerate(state["busy_intervals"])
+        )
+        self.__dict__.update(state)
+
+    # ------------------------------------------------------------------ #
     @property
     def num_disks(self) -> int:
         return len(self.disk_stats)
@@ -160,3 +182,28 @@ class SimulationResult:
         if base.execution_time_s <= 0:
             raise SimulationError("base execution time must be positive")
         return self.execution_time_s / base.execution_time_s
+
+
+_new_interval = partial(tuple.__new__, BusyInterval)
+
+
+def _intervals_to_columns(disk: int, intervals):
+    """One disk's intervals as an ``(n, 2)`` float64 array, or unchanged
+    if any interval names another disk (the columns drop the index)."""
+    table = np.fromiter(
+        chain.from_iterable(intervals), dtype=np.float64, count=3 * len(intervals)
+    ).reshape(-1, 3)
+    if (table[:, 0] != disk).any():
+        return intervals
+    return np.ascontiguousarray(table[:, 1:])
+
+
+def _columns_to_intervals(disk: int, columns):
+    if not isinstance(columns, np.ndarray):
+        return columns
+    return tuple(
+        map(
+            _new_interval,
+            zip(repeat(disk), columns[:, 0].tolist(), columns[:, 1].tolist()),
+        )
+    )

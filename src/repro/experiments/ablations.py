@@ -26,7 +26,7 @@ from ..disksim.params import DRPMParams, SubsystemParams
 from ..disksim.simulator import simulate
 from ..layout.files import default_layout
 from ..power.insertion import plan_power_calls
-from ..trace.generator import directives_at_positions, generate_trace
+from ..trace.generator import directives_at_positions
 from .report import ExperimentReport
 from .runner import ExperimentContext
 from .schemes import run_workload
@@ -38,8 +38,16 @@ __all__ = [
 ]
 
 
-def _cm_run(ctx: ExperimentContext, name: str, kind: str, preactivate: bool):
-    """One compiler-directed replay with/without Eq. (1)."""
+def _cm_run(
+    ctx: ExperimentContext,
+    name: str,
+    kind: str,
+    estimation: EstimationModel | None = None,
+    preactivate: bool = True,
+):
+    """One compiler-directed replay of benchmark ``name``'s default trace,
+    planned with ``estimation`` (default: the workload's own) and
+    with/without Eq. (1); returns ``(result, number of inserted calls)``."""
     suite = ctx.suite(name)
     wl = ctx.workload(name)
     plan = plan_power_calls(
@@ -47,16 +55,18 @@ def _cm_run(ctx: ExperimentContext, name: str, kind: str, preactivate: bool):
         suite.layout,
         ctx.params,
         kind,
-        estimation=wl.estimation,
+        estimation=estimation or wl.estimation,
         measured=suite.measured,
         preactivate=preactivate,
     )
     directives = directives_at_positions(plan.placements, ctx.analysis(name)[1])
-    return simulate(
+    result = simulate(
         suite.base_trace.with_directives(directives),
         ctx.params,
         CompilerDirected(kind),
+        faults=ctx.faults,
     )
+    return result, plan.num_calls
 
 
 def preactivation_ablation(
@@ -77,7 +87,11 @@ def preactivation_ablation(
     for name in names:
         suite = ctx.suite(name)
         base = suite.base
-        lazy = _cm_run(ctx, name, "drpm", preactivate=False)
+        lazy, _ = ctx.derived(
+            suite,
+            "CMDRPM:lazy",
+            lambda: _cm_run(ctx, name, "drpm", preactivate=False),
+        )
         rep.add_row(
             name,
             (
@@ -104,36 +118,25 @@ def estimation_error_sweep(
     """CMDRPM quality vs. the compiler's timing-estimate error."""
     ctx = ctx or ExperimentContext()
     suite = ctx.suite(benchmark)
-    wl = ctx.workload(benchmark)
     base = suite.base
     rep = ExperimentReport(
         experiment_id="ablation_estimation_error",
         title=f"Ablation: {benchmark} CMDRPM vs estimation error",
         columns=("energy", "time", "calls"),
     )
-    actual = ctx.analysis(benchmark)[1]
     for err in errors:
-        plan = plan_power_calls(
-            wl.program,
-            suite.layout,
-            ctx.params,
-            "drpm",
-            estimation=EstimationModel(relative_error=err),
-            measured=suite.measured,
-        )
-        res = simulate(
-            suite.base_trace.with_directives(
-                directives_at_positions(plan.placements, actual)
-            ),
-            ctx.params,
-            CompilerDirected("drpm"),
+        model = EstimationModel(relative_error=err)
+        res, num_calls = ctx.derived(
+            suite,
+            f"CMDRPM:{model!r}",
+            lambda: _cm_run(ctx, benchmark, "drpm", estimation=model),
         )
         rep.add_row(
             f"err={err:.2f}",
             (
                 res.total_energy_j / base.total_energy_j,
                 res.execution_time_s / base.execution_time_s,
-                float(plan.num_calls),
+                float(num_calls),
             ),
         )
     rep.notes.append(
@@ -175,6 +178,7 @@ def transition_speed_ablation(
                 accesses=accesses,
                 timing=timing,
                 cache=ctx.result_cache,
+                faults=ctx.faults,
             )
             for params in param_grid
         ]
@@ -183,7 +187,10 @@ def transition_speed_ablation(
 
         suites = executor.run_suites(
             [
-                SuiteSpec(benchmark, params=params, schemes=schemes)
+                SuiteSpec(
+                    benchmark, params=params, schemes=schemes,
+                    faults=ctx.faults,
+                )
                 for params in param_grid
             ]
         )

@@ -83,7 +83,7 @@ def run_experiment(exp_id: str, ctx: ExperimentContext) -> list:
     if exp_id == "fig2":
         from . import fig2
 
-        return [fig2.run()]
+        return [fig2.run(ctx)]
     if exp_id == "table1":
         return [table1.run(ctx.params)]
     if exp_id == "table2":

@@ -13,7 +13,6 @@ from typing import Sequence
 from ..transform.pipeline import make_version
 from .report import ExperimentReport
 from .runner import ExperimentContext
-from .schemes import run_schemes
 
 __all__ = ["multi_nest_tiling"]
 
@@ -48,13 +47,8 @@ def multi_nest_tiling(
             if not tv.applied:
                 cells.extend(orig.normalized_energy(s) for s in _SCHEMES)
                 continue
-            suite = run_schemes(
-                tv.program,
-                tv.layout,
-                ctx.params,
-                wl.trace_options,
-                wl.estimation,
-                schemes=("Base",) + _SCHEMES,
+            suite = ctx.run_suite(
+                name, tv.program, tv.layout, schemes=("Base",) + _SCHEMES
             )
             for s in _SCHEMES:
                 cells.append(

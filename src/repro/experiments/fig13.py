@@ -22,7 +22,6 @@ from ..transform.pipeline import make_version
 from ..workloads.registry import WORKLOAD_NAMES
 from .report import ExperimentReport
 from .runner import ExperimentContext
-from .schemes import run_schemes
 
 __all__ = ["run", "VERSIONS"]
 
@@ -62,13 +61,8 @@ def run(
                     orig_suite.normalized_energy(s) for s in _SCHEMES
                 )
                 continue
-            suite = run_schemes(
-                tv.program,
-                tv.layout,
-                ctx.params,
-                wl.trace_options,
-                wl.estimation,
-                schemes=("Base",) + _SCHEMES,
+            suite = ctx.run_suite(
+                name, tv.program, tv.layout, schemes=("Base",) + _SCHEMES
             )
             for s in _SCHEMES:
                 cells.append(suite.results[s].total_energy_j / base.total_energy_j)

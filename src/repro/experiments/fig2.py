@@ -19,20 +19,21 @@ only the third disk").
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..analysis.cycles import EstimationModel
 from ..analysis.dap import build_dap
+from ..disksim.params import SubsystemParams
 from ..ir.builder import ProgramBuilder
 from ..ir.program import Program
 from ..layout.files import SubsystemLayout, default_layout
 from ..power.codegen import render_plan
-from ..power.insertion import plan_power_calls
-from ..disksim.params import SubsystemParams
-from ..disksim.simulator import simulate
-from ..trace.generator import TraceOptions, generate_trace
-from ..analysis.cycles import measured_timing
+from ..trace.generator import TraceOptions
 from .report import ExperimentReport
+from .schemes import run_schemes
+
+if TYPE_CHECKING:
+    from .runner import ExperimentContext
 
 __all__ = ["build_fig2_program", "run"]
 
@@ -72,7 +73,10 @@ def build_fig2_program() -> tuple[Program, SubsystemLayout]:
     return program, layout
 
 
-def run() -> ExperimentReport:
+def run(ctx: "ExperimentContext | None" = None) -> ExperimentReport:
+    """The figure; with ``ctx``, its replays go through the context's
+    result cache (the example never takes the context's params or fault
+    regime — it is the paper's fixed fragment)."""
     program, layout = build_fig2_program()
     dap = build_dap(program, layout)
     rep = ExperimentReport(
@@ -88,23 +92,18 @@ def run() -> ExperimentReport:
         rep.add_row(f"DAP disk{disk}", (text,))
 
     # Figure 2(d): run the compiler (TPM flavour, as the paper's example
-    # uses spin_down/spin_up) and weave the calls into the code.
-    params = SubsystemParams(num_disks=4)
-    trace = generate_trace(program, layout, TraceOptions())
-    base = simulate(trace, params)
-    meas = measured_timing(
-        program,
-        trace.request_nests,
-        np.array(base.request_responses),
-    )
-    plan = plan_power_calls(
+    # uses spin_down/spin_up) and weave the calls into the code.  The plan
+    # rides along with the CMTPM result of a fixed, fault-free suite.
+    suite = run_schemes(
         program,
         layout,
-        params,
-        "tpm",
-        estimation=EstimationModel(relative_error=0.0),
-        measured=meas,
+        SubsystemParams(num_disks=4),
+        TraceOptions(),
+        EstimationModel(relative_error=0.0),
+        schemes=("Base", "CMTPM"),
+        cache=ctx.result_cache if ctx is not None else None,
     )
+    plan = suite.plans["CMTPM"]
     rep.add_row("inserted calls", (str(plan.num_calls),))
     for k, p in enumerate(plan.placements):
         rep.add_row(

@@ -56,6 +56,7 @@ def sweep(
                 params=ctx.params,
                 layout=layout,
                 key=("stripe_size", size),
+                faults=ctx.faults,
             )
             for size, layout in layouts.items()
         ]

@@ -49,6 +49,7 @@ def sweep(
                 params=params,
                 layout=layout,
                 key=("stripe_factor", factor),
+                faults=ctx.faults,
             )
             for factor, (params, layout) in configs.items()
         ]

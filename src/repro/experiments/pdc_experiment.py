@@ -16,7 +16,6 @@ from ..disksim.simulator import simulate
 from ..transform.pdc import pdc_layout
 from .report import ExperimentReport
 from .runner import ExperimentContext
-from .schemes import run_schemes
 
 __all__ = ["run"]
 
@@ -46,21 +45,26 @@ def run(
         orig = ctx.suite(name)
         lay = pdc_layout(wl.program, ctx.default_layout_for(wl))
         accesses, timing = ctx.analysis(name)
-        suite = run_schemes(
+        suite = ctx.run_suite(
+            name,
             wl.program,
             lay,
-            ctx.params,
-            wl.trace_options,
-            wl.estimation,
             schemes=("Base", "TPM", "DRPM", "CMDRPM"),
             accesses=accesses,
             timing=timing,
         )
         base_e = orig.base.total_energy_j
-        atpm = simulate(
-            suite.base_trace,
-            ctx.params,
-            AdaptiveTPM(initial_threshold_s=ctx.params.effective_tpm_threshold_s),
+        atpm = ctx.derived(
+            suite,
+            "ATPM",
+            lambda: simulate(
+                suite.base_trace,
+                ctx.params,
+                AdaptiveTPM(
+                    initial_threshold_s=ctx.params.effective_tpm_threshold_s
+                ),
+                faults=ctx.faults,
+            ),
         )
         rep.add_row(
             name,

@@ -10,8 +10,11 @@ Two further layers sit behind the in-memory memo:
 
 * a **persistent result cache** (:class:`~repro.cache.ResultCache`, on by
   default under ``.repro-cache/``; disable with ``REPRO_CACHE=0`` or
-  ``cache=False``) that survives across processes, so re-rendering
-  artifacts after an unrelated edit is near-free;
+  ``cache=False``) that survives across processes.  Every artifact's
+  replays go through it — memoized suites, :meth:`ExperimentContext.
+  run_suite` for transformed or re-laid-out programs, and
+  :meth:`ExperimentContext.derived` for runs derived from a suite — so
+  re-rendering artifacts after an unrelated edit replays nothing;
 * a **process pool** (:class:`~repro.experiments.parallel.SuiteExecutor`,
   worker count from ``jobs=`` or ``$REPRO_JOBS``) that fans independent
   suite configurations — and the independent scheme replays inside a
@@ -22,13 +25,14 @@ Two further layers sit behind the in-memory memo:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from ..analysis.access import NestAccess, analyze_program
 from ..analysis.cycles import ProgramTiming, compute_timing
 from ..cache import ResultCache
 from ..disksim.params import SubsystemParams
 from ..faults import FaultConfig
+from ..ir.program import Program
 from ..layout.files import SubsystemLayout, default_layout
 from ..workloads.base import Workload
 from ..workloads.registry import WORKLOAD_NAMES, build_workload
@@ -36,6 +40,8 @@ from .parallel import SuiteExecutor, SuiteSpec
 from .schemes import SCHEME_NAMES, SchemeSuite, run_schemes
 
 __all__ = ["ExperimentContext"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -179,6 +185,44 @@ class ExperimentContext:
                 faults=faults if faults is not None else self.faults,
             )
         return self._suites[cache_key]
+
+    def run_suite(
+        self,
+        name: str,
+        program: Program,
+        layout: SubsystemLayout,
+        schemes: Sequence[str],
+        accesses: Sequence[NestAccess] | None = None,
+        timing: ProgramTiming | None = None,
+    ) -> SchemeSuite:
+        """An unmemoized scheme suite of a variant of benchmark ``name``
+        (a transformed program and/or a re-laid-out array set), under the
+        context's params, fault regime and result cache."""
+        wl = self.workload(name)
+        return run_schemes(
+            program,
+            layout,
+            self.params,
+            wl.trace_options,
+            wl.estimation,
+            schemes=schemes,
+            accesses=accesses,
+            timing=timing,
+            cache=self.result_cache,
+            faults=self.faults,
+        )
+
+    def derived(self, suite: SchemeSuite, tag: str, compute: Callable[[], T]) -> T:
+        """A run derived from ``suite`` that is not one of its schemes,
+        served from the result cache under ``scheme_key(suite.fingerprint,
+        tag)``.  ``tag`` must name everything the output adds beyond the
+        suite's configuration; without a cache, ``compute()`` just runs."""
+        cache = self.result_cache
+        if cache is None or suite.fingerprint is None:
+            return compute()
+        return cache.load_or_compute(
+            cache.scheme_key(suite.fingerprint, tag), compute
+        )
 
     # ------------------------------------------------------------------ #
     def prefetch(self, specs: Sequence[SuiteSpec]) -> None:

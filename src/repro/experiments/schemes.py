@@ -66,6 +66,10 @@ class SchemeSuite:
     base_trace: Trace
     measured: ProgramTiming
     plans: dict[str, CompilerPlan] = field(default_factory=dict)
+    #: :func:`~repro.cache.suite_fingerprint` of the configuration (``None``
+    #: when the suite ran without a result cache).  Runs derived from the
+    #: suite cache under ``ResultCache.scheme_key(fingerprint, tag)``.
+    fingerprint: str | None = None
 
     @property
     def base(self) -> SimulationResult:
@@ -158,25 +162,30 @@ def _run_schemes(
     if timing is None:
         timing = compute_timing(program)
 
-    trace = None
-    trace_key = None
-    if cache is not None:
-        trace_key = trace_fingerprint(program, layout, options)
-        trace = cache.load(trace_key)
-        obs.event(
-            "suite.trace_cache",
-            program=program.name,
-            outcome="hit" if trace is not None else "miss",
-        )
-    if trace is None:
-        trace = generate_trace(
+    def _generate() -> Trace:
+        return generate_trace(
             program, layout, options, accesses=accesses, timing=timing
         )
-        if cache is not None and trace_key is not None:
-            cache.store(trace_key, trace)
-    # The per-request striping fan-out is scheme-invariant: compute it once
-    # and share it across every replay of this suite.
-    replay_plan = ReplayPlan.for_trace(trace)
+
+    if cache is None:
+        trace = _generate()
+    else:
+        trace = cache.load_or_compute(
+            trace_fingerprint(program, layout, options),
+            _generate,
+            event="suite.trace_cache",
+            program=program.name,
+        )
+
+    # The per-request striping fan-out is scheme-invariant: compute it once,
+    # on the first replay that runs, and share it across the suite.
+    replay_plan = None
+
+    def _plan() -> ReplayPlan:
+        nonlocal replay_plan
+        if replay_plan is None:
+            replay_plan = ReplayPlan.for_trace(trace)
+        return replay_plan
 
     suite_fp = (
         suite_fingerprint(program, layout, params, options, estimation, faults)
@@ -200,7 +209,7 @@ def _run_schemes(
             params,
             Controller(),
             collect_busy_intervals=True,
-            plan=replay_plan,
+            plan=_plan(),
             engine=engine,
             faults=faults,
         )
@@ -264,22 +273,22 @@ def _run_schemes(
             if scheme == "TPM":
                 ctrl: Controller = ReactiveTPM(params.effective_tpm_threshold_s)
                 results[scheme] = simulate(
-                    trace, params, ctrl, plan=replay_plan, engine=engine,
+                    trace, params, ctrl, plan=_plan(), engine=engine,
                     faults=faults,
                 )
             elif scheme == "ITPM":
                 results[scheme] = simulate(
-                    trace, params, OracleTPM(base, params), plan=replay_plan,
+                    trace, params, OracleTPM(base, params), plan=_plan(),
                     engine=engine, faults=faults,
                 )
             elif scheme == "DRPM":
                 results[scheme] = simulate(
-                    trace, params, ReactiveDRPM(params.drpm), plan=replay_plan,
+                    trace, params, ReactiveDRPM(params.drpm), plan=_plan(),
                     engine=engine, faults=faults,
                 )
             elif scheme == "IDRPM":
                 results[scheme] = simulate(
-                    trace, params, OracleDRPM(base, params), plan=replay_plan,
+                    trace, params, OracleDRPM(base, params), plan=_plan(),
                     engine=engine, faults=faults,
                 )
             else:
@@ -288,7 +297,7 @@ def _run_schemes(
                     cm_traces[scheme],
                     params,
                     CompilerDirected(kind),
-                    plan=replay_plan,
+                    plan=_plan(),
                     engine=engine,
                     faults=faults,
                 )
@@ -309,6 +318,7 @@ def _run_schemes(
         base_trace=trace,
         measured=measured,
         plans=plans,
+        fingerprint=suite_fp,
     )
 
 

@@ -244,25 +244,18 @@ def _replay_source(
         "streamed" if source.streamed else "whole",
     )
 
-    def _cached(scheme: str, make) -> SimulationResult:
-        if cache is not None:
-            key = cache.scheme_key(suite_fp, scheme)
-            hit = cache.load(key)
-            obs.event(
-                "trace_replay.scheme_cache",
-                source=source.label, scheme=scheme,
-                outcome="hit" if hit is not None else "miss",
-            )
-            if hit is not None:
-                return hit
-        result = make()
-        if cache is not None:
-            cache.store(cache.scheme_key(suite_fp, scheme), result)
-        return result
+    def _replay(scheme: str, make) -> SimulationResult:
+        if cache is None:
+            return make()
+        return cache.load_or_compute(
+            cache.scheme_key(suite_fp, scheme), make,
+            event="trace_replay.scheme_cache",
+            source=source.label, scheme=scheme,
+        )
 
     notes: list[str] = []
     results: dict[str, SimulationResult] = {}
-    results["Base"] = _cached(
+    results["Base"] = _replay(
         "Base",
         lambda: simulate(
             trace, params, Controller(),
@@ -270,14 +263,14 @@ def _replay_source(
             open_loop=True,
         ),
     )
-    results["TPM"] = _cached(
+    results["TPM"] = _replay(
         "TPM",
         lambda: simulate(
             trace, params, ReactiveTPM(params.effective_tpm_threshold_s),
             open_loop=True,
         ),
     )
-    results["DRPM"] = _cached(
+    results["DRPM"] = _replay(
         "DRPM",
         lambda: simulate(
             trace, params, ReactiveDRPM(params.drpm), open_loop=True
@@ -290,20 +283,20 @@ def _replay_source(
         )
     else:
         base = results["Base"]
-        results["ITPM"] = _cached(
+        results["ITPM"] = _replay(
             "ITPM",
             lambda: simulate(
                 trace, params, OracleTPM(base, params), open_loop=True
             ),
         )
-        results["IDRPM"] = _cached(
+        results["IDRPM"] = _replay(
             "IDRPM",
             lambda: simulate(
                 trace, params, OracleDRPM(base, params), open_loop=True
             ),
         )
     for scheme, kind in (("CMTPM", "tpm"), ("CMDRPM", "drpm")):
-        results[scheme] = _cached(
+        results[scheme] = _replay(
             scheme,
             lambda kind=kind: simulate(
                 trace, params, CompilerDirected(kind), open_loop=True

@@ -292,7 +292,9 @@ def boundary_adjacent_traces(draw):
             )
             if draw(st.booleans()):
                 steps = params.drpm.steps_between(params.drpm.max_rpm, rpm)
-                t1 = t0 + steps * step_s + draw(edge_eps)
+                # A zero-step shift at t0 = 0 minus epsilon would precede
+                # the trace start, which a Trace rejects as invalid input.
+                t1 = max(0.0, t0 + steps * step_s + draw(edge_eps))
                 rpm2 = draw(st.sampled_from(levels))
                 records.append(
                     DirectiveRecord(
