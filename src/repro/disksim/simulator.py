@@ -217,7 +217,8 @@ AUTO_ROUTING: dict = {
 #: contract is single-process: pool workers each accumulate their own copy,
 #: and :func:`simulate` additionally mirrors per-replay deltas into
 #: ``repro.obs.metrics`` (prefix ``sim.coverage.``) when observability is
-#: enabled, which *is* drained and merged across workers.
+#: enabled, which *is* drained and merged across workers; the run
+#: manifest's ``engine`` section reads those merged counters.
 REPLAY_COVERAGE: dict[str, int] = {}
 
 
@@ -239,9 +240,7 @@ def reset_replay_coverage() -> None:
         directive_mid_service=0,
         windows_scalar_short_run=0,
         fallback_transition_entangled=0,
-        fallback_auto_spindown=0,
         fallback_spinup_fault=0,
-        fallback_standby_wake=0,
         fallback_fault_flagged=0,
     )
 
@@ -1222,10 +1221,9 @@ def _replay_segmented(
     * ``fallback_fault_flagged`` — the sub-request carries transient
       errors (``serve_faulty`` replays every retry on ``Disk.serve``).
 
-    ``fallback_auto_spindown`` and ``fallback_standby_wake`` stay in the
-    counter set (run manifests and metrics keep their schema) and read 0:
-    a call on an auto-spin-down disk runs ``advance``'s fire rule in
-    mirror first, and every mirror state is *serveable* — a
+    Autonomous spin-downs and standby wake-ups never escape: a call on
+    an auto-spin-down disk runs ``advance``'s fire rule in mirror first,
+    and every mirror state is *serveable* — a
     request that finds its disk mid-transition, due for an autonomous
     spin-down, or in standby runs ``Disk.serve``'s slow path in mirror
     (partial accrual, completion, fire, standby accrual, ``standby-wake``
@@ -2279,7 +2277,6 @@ def simulate(
     plan: ReplayPlan | None = None,
     engine: str = "auto",
     faults=None,
-    pipeline: bool = False,
     open_loop: bool = False,
 ) -> SimulationResult:
     """Replay ``trace`` under ``params`` with an optional controller.
@@ -2293,13 +2290,7 @@ def simulate(
     (``repro.trace.ingest``), whose arrival times were recorded on a real
     system.  Execution time extends to the last request completion when
     that outlives the trace's nominal span.  Both engines (and the
-    streamed/pipelined paths) replay open-loop bit-identically.
-
-    ``pipeline=True`` (streamed replays only) moves chunk production into
-    a forked producer process feeding a bounded shared-memory ring
-    (:func:`repro.trace.ring.pipelined_chunks`), overlapping trace
-    generation with replay; results are bit-identical to the
-    single-process streamed path.
+    streamed path) replay open-loop bit-identically.
 
     ``faults`` optionally supplies a :class:`~repro.faults.FaultConfig`;
     the regime is materialized into a :class:`~repro.faults.FaultPlan`
@@ -2337,12 +2328,7 @@ def simulate(
     if isinstance(trace, TraceStream):
         return _simulate_stream(
             trace, params, controller, collect_busy_intervals, recorder,
-            plan, engine, faults, pipeline, open_loop,
-        )
-    if pipeline:
-        raise SimulationError(
-            "pipeline=True requires a TraceStream: a whole-trace replay "
-            "has no chunk production to overlap"
+            plan, engine, faults, open_loop,
         )
     if engine not in ("auto", "stepwise", "segmented"):
         raise SimulationError(f"unknown replay engine {engine!r}")
@@ -2616,7 +2602,6 @@ def _simulate_stream(
     plan: ReplayPlan | None,
     engine: str,
     faults,
-    pipeline: bool = False,
     open_loop: bool = False,
 ) -> SimulationResult:
     """Replay a :class:`~repro.trace.stream.TraceStream` chunk by chunk.
@@ -2744,15 +2729,7 @@ def _simulate_stream(
     ) as sp:
         if forced:
             sp.set(forced=forced)
-        pipe_stats: dict | None = None
-        if pipeline:
-            from ..trace.ring import pipelined_chunks
-
-            sp.set(pipelined=True)
-            pipe_stats = {}
-            it = pipelined_chunks(stream, stats=pipe_stats)
-        else:
-            it = stream.iter_chunks()
+        it = stream.iter_chunks()
         cur = next(it, None)
         if cur is None:
             cur = RequestColumns.from_requests(())
@@ -2850,30 +2827,6 @@ def _simulate_stream(
             "sim.replay_wall_s", time.perf_counter() - t_replay0,
             scheme=ctrl.name,
         )
-        if pipe_stats:
-            # Ring transport counters: stall seconds on both sides of the
-            # shared-memory ring plus average occupancy — the numbers that
-            # say whether the pipeline overlapped or just queued.
-            _metrics.inc("pipeline.replays")
-            _metrics.inc("pipeline.chunks", pipe_stats.get("chunks", 0))
-            _metrics.inc("pipeline.splits", pipe_stats.get("splits", 0))
-            _metrics.inc(
-                "pipeline.producer_stall_s",
-                pipe_stats.get("producer_stall_s", 0.0),
-            )
-            _metrics.inc(
-                "pipeline.consumer_stall_s",
-                pipe_stats.get("consumer_stall_s", 0.0),
-            )
-            samples = pipe_stats.get("queue_depth_samples", 0)
-            _metrics.inc("pipeline.queue_depth_sum",
-                         pipe_stats.get("queue_depth_sum", 0))
-            _metrics.inc("pipeline.queue_depth_samples", samples)
-            if samples:
-                _metrics.set_gauge(
-                    "pipeline.queue_depth_avg",
-                    round(pipe_stats["queue_depth_sum"] / samples, 3),
-                )
 
     if open_loop:
         # Same extension as the whole-trace path: run to the last queued

@@ -22,8 +22,8 @@ trace-event JSON (loadable in Perfetto / ``chrome://tracing``) — including
 per-disk power-state timeline tracks from a representative replay, whose
 decision-attribution ledger (conservation-verified) lands in the run
 manifest — and implies ``--obs``.  ``--progress [SECS]`` streams live
-progress lines (requests replayed, req/s, ring occupancy, shard status,
-ETA) to stderr.  ``-v``/``-vv`` raise the ``repro`` logger to INFO/DEBUG on
+progress lines (requests replayed, req/s, streamed chunks, ETA) to
+stderr.  ``-v``/``-vv`` raise the ``repro`` logger to INFO/DEBUG on
 stderr.  Reports always go to **stdout**; every diagnostic line (cache
 summary, manifest path) goes to **stderr**, keeping rendered artifacts
 byte-stable under any flag combination.
@@ -167,14 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_JOBS or 1; 0 = one per CPU)",
     )
     parser.add_argument(
-        "--shard",
-        action="store_true",
-        help="prefetch suites through the shard scheduler: decompose "
-        "sweeps into fingerprint-keyed (configuration, scheme) shards, "
-        "dedupe, and reassemble from the shared cache (bit-identical to "
-        "serial at any worker count)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not write the persistent result cache",
@@ -254,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECS",
         help="stream live progress lines to stderr every SECS seconds "
-        "(default 2): requests replayed, req/s, ring occupancy, shard "
-        "status, ETA; implies --obs",
+        "(default 2): requests replayed, req/s, streamed chunks, ETA; "
+        "implies --obs",
     )
     parser.add_argument(
         "--manifest-out",
@@ -322,8 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--trace-in/--synth only affect the trace_replay experiment"
             )
     ctx = ExperimentContext(
-        jobs=args.jobs, cache=cache, faults=faults, shard=args.shard,
-        trace_sources=trace_sources,
+        jobs=args.jobs, cache=cache, faults=faults, trace_sources=trace_sources,
     )
 
     reporter = None
@@ -354,45 +345,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_stats = ctx.cache_stats()
     if cache_stats is not None:
         print(ctx.result_cache.summary(), file=sys.stderr)
-    _print_engine_counters(ctx)
 
     if observing:
         _write_obs_artifacts(args, ids, ctx, phases, total_wall_s, cache_stats)
     return 0
 
 
-def _print_engine_counters(ctx: ExperimentContext) -> None:
-    """Satellite: one stderr line each for the shard scheduler and the
-    streamed-pipeline counters, next to the cache hit/miss summary.
-
-    Shard stats come off the scheduler object (available without
-    ``--obs``); pipeline counters only exist in the metrics registry, so
-    that line appears when observability recorded a pipelined replay.
-    """
-    shard_stats = ctx.shard_stats()
-    if shard_stats is not None and shard_stats.get("runs"):
-        print(
-            "shard scheduler: {runs} runs, {requested} requested, "
-            "{deduped} deduped, {cache_hits} cache hits, "
-            "{computed} computed".format(**shard_stats),
-            file=sys.stderr,
-        )
-    replays = obs.metrics.counter("pipeline.replays")
-    if replays:
-        chunks = obs.metrics.counter("pipeline.chunks")
-        samples = obs.metrics.counter("pipeline.queue_depth_samples")
-        depth = (
-            obs.metrics.counter("pipeline.queue_depth_sum") / samples
-            if samples
-            else 0.0
-        )
-        print(
-            f"pipeline: {replays:.0f} streamed replays, {chunks:.0f} chunks, "
-            f"ring depth {depth:.1f}, stalls "
-            f"{obs.metrics.counter('pipeline.producer_stall_s'):.2f}s prod / "
-            f"{obs.metrics.counter('pipeline.consumer_stall_s'):.2f}s cons",
-            file=sys.stderr,
-        )
+def _engine_section(metrics: dict) -> dict:
+    """The manifest's ``engine`` section: the routing gates plus every
+    replay-coverage count, read from the merged ``sim.coverage.*``
+    counters so a ``-j N`` run reports its workers' replays as well."""
+    counters = metrics["counters"]
+    return {
+        "routing": dict(AUTO_ROUTING),
+        **{
+            key: int(counters.get("sim.coverage." + key, 0))
+            for key in replay_coverage()
+        },
+    }
 
 
 def _timeline_artifacts(ctx: ExperimentContext) -> tuple[list[dict], dict]:
@@ -464,15 +434,11 @@ def _write_obs_artifacts(
     config = {
         "experiments": ids,
         "jobs": ctx.jobs,
-        "shard": ctx.shard,
         "cache": cache_stats["dir"] if cache_stats else None,
         "num_disks": ctx.params.num_disks,
         "faults": repr(ctx.faults) if ctx.faults is not None else None,
     }
     extra: dict = {"total_wall_s": round(total_wall_s, 6)}
-    shard_stats = ctx.shard_stats()
-    if shard_stats is not None:
-        extra["shard"] = shard_stats
     if "trace_replay" in ids:
         from .trace_replay import last_manifest_section
 
@@ -496,13 +462,14 @@ def _write_obs_artifacts(
                 file=sys.stderr,
             )
 
+    metrics = obs.metrics.snapshot()
     manifest = build_manifest(
         command="repro-experiments",
         config=config,
         phases=phases,
         cache_stats=cache_stats,
-        engine_stats={"routing": dict(AUTO_ROUTING), **replay_coverage()},
-        metrics=obs.metrics.snapshot(),
+        engine_stats=_engine_section(metrics),
+        metrics=metrics,
         extra=extra,
     )
     manifest_path = args.manifest_out or DEFAULT_MANIFEST_NAME

@@ -57,12 +57,6 @@ class ExperimentContext:
     #: Optional fault regime (:class:`~repro.faults.FaultConfig`) applied to
     #: every suite this context runs; per-call ``faults`` overrides win.
     faults: FaultConfig | None = None
-    #: Prefetch via the :class:`~repro.experiments.shard.ShardScheduler`
-    #: instead of suite-grain fan-out: specs decompose into
-    #: fingerprint-keyed (configuration, scheme) shards, duplicates collapse
-    #: before scheduling, and suites reassemble from the shared cache —
-    #: bit-identical to serial execution at any worker count.
-    shard: bool = False
     #: Workloads for the ``trace_replay`` suite (``--trace-in``/``--synth``
     #: on the CLI); ``None`` lets the suite fall back to its defaults.
     trace_sources: "tuple | None" = None
@@ -70,7 +64,6 @@ class ExperimentContext:
     _suites: dict[tuple, SchemeSuite] = field(default_factory=dict)
     _analyses: dict[str, tuple] = field(default_factory=dict, repr=False)
     _executor: SuiteExecutor | None = field(default=None, repr=False)
-    _shard_scheduler: "object | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.cache is None:
@@ -92,20 +85,6 @@ class ExperimentContext:
                 cache_root=cache.root if cache is not None else None,
             )
         return self._executor
-
-    @property
-    def shard_scheduler(self):
-        """The context's :class:`~repro.experiments.shard.ShardScheduler`
-        (built lazily; shares the persistent cache directory)."""
-        if self._shard_scheduler is None:
-            from .shard import ShardScheduler
-
-            cache = self.result_cache
-            self._shard_scheduler = ShardScheduler(
-                jobs=self.jobs,
-                cache_root=cache.root if cache is not None else None,
-            )
-        return self._shard_scheduler
 
     # ------------------------------------------------------------------ #
     def workload(self, name: str) -> Workload:
@@ -151,20 +130,6 @@ class ExperimentContext:
         ``("stripe_size", 32768)`` or ``("fault_severity", 0.1)``).
         """
         cache_key = (name, key)
-        if cache_key not in self._suites and self.shard:
-            # Sharded contexts route every suite through the scheduler, so
-            # lazily-requested configurations get the same dedupe/cache-fill
-            # treatment as prefetched sweeps.
-            wl = self.workload(name)
-            p = params or self.params
-            spec = SuiteSpec(
-                name,
-                params=p,
-                layout=layout or self.default_layout_for(wl, p),
-                key=key,
-                faults=faults if faults is not None else self.faults,
-            )
-            self._suites[cache_key] = self.shard_scheduler.run([spec])[0]
         if cache_key not in self._suites:
             wl = self.workload(name)
             p = params or self.params
@@ -230,17 +195,10 @@ class ExperimentContext:
 
         Each spec's ``key`` must match the ``key`` later passed to
         :meth:`suite` for the same configuration.  With one worker this is
-        a no-op — :meth:`suite` computes lazily, exactly as before — unless
-        ``shard=True``, where even a serial pass goes through the shard
-        scheduler (its dedupe and cache-fill semantics are worker-count
-        independent).
+        a no-op: :meth:`suite` computes lazily.
         """
         missing = [s for s in specs if (s.workload, s.key) not in self._suites]
         if not missing:
-            return
-        if self.shard:
-            for spec, suite in zip(missing, self.shard_scheduler.run(missing)):
-                self._suites[(spec.workload, spec.key)] = suite
             return
         executor = self.executor
         if executor.serial:
@@ -272,10 +230,3 @@ class ExperimentContext:
         """
         cache = self.result_cache
         return cache.stats() if cache is not None else None
-
-    def shard_stats(self) -> dict | None:
-        """Shard-scheduler counters for run manifests (``None`` when the
-        sharded prefetch path never ran)."""
-        if self._shard_scheduler is None:
-            return None
-        return self._shard_scheduler.stats.as_dict()

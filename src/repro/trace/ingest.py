@@ -6,7 +6,7 @@ real desktop/server disk produces — and normalizes them into the exact
 columnar representation (:class:`~repro.trace.request.RequestColumns` /
 :class:`~repro.trace.request.Trace`) the replay engines already consume, so
 every downstream path (both engines, the streamed bounded-memory replay,
-the pipelined ring, caching, observability) works unchanged.
+caching, observability) works unchanged.
 
 Two on-disk formats are supported:
 
@@ -734,8 +734,7 @@ def stream_ingest(
     A cheap validation scan fixes the device geometry up front (unless
     given explicitly); each :meth:`~repro.trace.stream.TraceStream.iter_chunks`
     pass then re-parses the file in ``chunk_requests``-row column chunks,
-    so peak memory stays bounded regardless of trace size and the stream
-    composes with the pipelined shared-memory ring unchanged.  The
+    so peak memory stays bounded regardless of trace size.  The
     chunked and whole-file readers produce identical request columns for
     any valid input (enforced by the ingest property tests).
     """
@@ -761,7 +760,6 @@ def stream_ingest(
             path, fmt, layout, num_devices, chunk_requests
         ),
         directives=(),
-        chunk_requests=chunk_requests,
     )
 
 

@@ -19,6 +19,8 @@ from repro.layout.files import default_layout
 from repro.trace.generator import TraceOptions
 from repro.util.units import KB
 
+from .result_equality import _assert_results_identical
+
 
 # Coverage instrumentation (pytest-cov in CI, tools/measure_coverage.py
 # locally) slows every example enough to trip hypothesis's per-example
@@ -96,23 +98,6 @@ def small_trace_options() -> TraceOptions:
     return TraceOptions(
         buffer_cache_bytes=512 * KB, cache_line_bytes=8 * KB, max_request_bytes=8 * KB
     )
-
-
-def _assert_results_identical(a, b) -> None:
-    """Field-by-field equality of two SimulationResults (no tolerance —
-    the cache and the parallel engine must be *bit*-identical to the
-    serial uncached path)."""
-    assert a.scheme == b.scheme
-    assert a.program_name == b.program_name
-    assert a.execution_time_s == b.execution_time_s
-    assert a.num_requests == b.num_requests
-    assert a.num_directives == b.num_directives
-    assert a.responses == b.responses
-    assert a.request_responses == b.request_responses
-    assert a.busy_intervals == b.busy_intervals
-    assert len(a.disk_stats) == len(b.disk_stats)
-    for da, db in zip(a.disk_stats, b.disk_stats):
-        assert da == db  # DiskStats is a dataclass: compares every field
 
 
 @pytest.fixture()

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from conftest import _assert_results_identical  # noqa: E402
+from result_equality import _assert_results_identical  # noqa: E402
 from strategies import boundary_adjacent_traces, fault_configs  # noqa: E402
 
 from repro.controllers.drpm import ReactiveDRPM

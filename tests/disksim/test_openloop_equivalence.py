@@ -3,8 +3,8 @@
 Open-loop mode (``simulate(..., open_loop=True)``) issues requests at
 their trace arrival times instead of compounding the closed-loop delay
 feedback.  Everything the closed-loop differential suites guarantee must
-hold here too: both engines (and auto's routing), whole and streamed and
-pipelined replays, ingested and synthetic and generated traces, clean and
+hold here too: both engines (and auto's routing), whole and streamed
+replays, ingested and synthetic and generated traces, clean and
 under seeded fault regimes, all produce bit-identical results — mirroring
 ``test_stream_equivalence.py``.
 
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from conftest import _assert_results_identical  # noqa: E402
+from result_equality import _assert_results_identical  # noqa: E402
 from strategies import fault_configs, programs, synth_configs  # noqa: E402
 
 from repro.controllers.drpm import ReactiveDRPM
@@ -108,20 +108,6 @@ def test_synth_engines_identical(config, data):
         res_s = _replay(synth_stream(config), params, scheme, eng)
         assert res_s.execution_time_s == results[0].execution_time_s
         assert res_s.disk_stats == results[0].disk_stats
-
-
-@_SLOW_SETTINGS
-@given(config=synth_configs(max_requests=1500))
-def test_synth_pipelined_matches_unpipelined(config):
-    params = SubsystemParams(num_disks=config.num_disks)
-    plain = simulate(
-        synth_stream(config), params, engine="segmented", open_loop=True
-    )
-    piped = simulate(
-        synth_stream(config), params, engine="segmented", open_loop=True,
-        pipeline=True,
-    )
-    assert plain == piped
 
 
 # --------------------------------------------------------------------- #
@@ -237,13 +223,9 @@ def test_million_request_bursty_stream_engines_identical():
         )
         for eng in ENGINES
     }
-    piped = simulate(
-        synth_stream(config), params, engine="auto", open_loop=True,
-        pipeline=True,
-    )
     ref = results["stepwise"]
     assert ref.num_requests == 1_000_000
-    for other in (results["segmented"], results["auto"], piped):
+    for other in (results["segmented"], results["auto"]):
         assert other.disk_stats == ref.disk_stats
         assert other.execution_time_s == ref.execution_time_s
         assert other.responses.count == ref.responses.count

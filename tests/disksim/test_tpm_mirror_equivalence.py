@@ -10,7 +10,7 @@ synthetic workloads, whose off-periods outlast the idleness threshold:
 
 * whole and streamed replays (several chunk sizes), open- and
   closed-loop, bit-identical to the stepwise whole-trace replay, with
-  zero ``fallback_auto_spindown`` / ``fallback_standby_wake`` escapes;
+  every ``fallback_*`` escape counter at zero;
 * timeline recording: identical segment streams, including the
   ``tpm-auto`` and ``standby-wake`` transition causes;
 * spin-up fault injection: still bit-identical, with the faulted wake-ups
@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from conftest import _assert_results_identical  # noqa: E402
+from result_equality import _assert_results_identical  # noqa: E402
 from strategies import boundary_adjacent_traces, fault_configs  # noqa: E402
 
 from repro.controllers.tpm import ReactiveTPM
@@ -91,9 +91,13 @@ def _replay(trace, threshold, engine, open_loop, **kwargs):
     return result, replay_coverage()
 
 
-def _assert_no_tpm_escapes(cov) -> None:
-    assert cov["fallback_auto_spindown"] == 0
-    assert cov["fallback_standby_wake"] == 0
+def _assert_no_tpm_escapes(cov, *allowed) -> None:
+    """No sub-request or call escaped to the state machine except for the
+    ``allowed`` reasons: fires and wake-ups have no escape of their own."""
+    escapes = {
+        k: v for k, v in cov.items() if k.startswith("fallback_") and k not in allowed
+    }
+    assert escapes == dict.fromkeys(escapes, 0), escapes
 
 
 def _assert_stream_matches(streamed, whole) -> None:
@@ -177,7 +181,7 @@ def test_spinup_faults_fall_back_and_match(onoff_trace, open_loop, recording):
     assert sum(s.num_spinup_failures for s in ref.disk_stats) > 0
     assert cov["fallback_spinup_fault"] > 0
     assert cov["subrequests_stepwise"] >= cov["fallback_spinup_fault"]
-    _assert_no_tpm_escapes(cov)
+    _assert_no_tpm_escapes(cov, "fallback_spinup_fault")
     if recording:
         assert {d: seg_rec.segments(d) for d in seg_rec.disks} == {
             d: ref_rec.segments(d) for d in ref_rec.disks
@@ -224,7 +228,12 @@ def test_directives_on_auto_disks_bit_identical(data):
     assert (seg_err is None) == (ref_err is None)
     if ref_err is None:
         _assert_results_identical(seg, ref)
-        assert cov["fallback_auto_spindown"] == 0
+        # A directive landing mid-transition still escapes; faults add the
+        # spin-up and fault-flagged escapes.
+        allowed = ["fallback_transition_entangled"]
+        if faults is not None:
+            allowed += ["fallback_spinup_fault", "fallback_fault_flagged"]
+        _assert_no_tpm_escapes(cov, *allowed)
 
 
 def test_streamed_and_whole_share_chunk_state():

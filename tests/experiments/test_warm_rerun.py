@@ -111,13 +111,20 @@ def test_fault_regime_reaches_pdc_atpm(monkeypatch):
 
 
 @pytest.mark.parametrize("sweep", [fig5_6.run, fig7_8.run], ids=["fig5_6", "fig7_8"])
-def test_fault_regime_reaches_sharded_sweeps(sweep, monkeypatch, tmp_path):
-    """Prefetched sweep configurations carry the regime too (a serial
-    sharded context prefetches in-process through the shard scheduler)."""
-    _controllers_under_regime(
-        sweep, monkeypatch,
-        ExperimentContext(cache=ResultCache(tmp_path), faults=REGIME, shard=True),
-    )
+def test_fault_regime_reaches_prefetched_sweeps(sweep, monkeypatch, tmp_path):
+    """Sweep configurations prefetched through the process pool carry the
+    regime too: the pool's replays run in workers, so check the specs."""
+    specs = []
+    orig = ExperimentContext.prefetch
+
+    def spy(self, batch):
+        specs.extend(batch)
+        return orig(self, batch)
+
+    monkeypatch.setattr(ExperimentContext, "prefetch", spy)
+    sweep(ExperimentContext(cache=ResultCache(tmp_path), faults=REGIME, jobs=2))
+    assert specs
+    assert [spec.faults for spec in specs] == [REGIME] * len(specs), specs
 
 
 def _controllers_under_regime(artifact, monkeypatch, ctx=None) -> set[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro import obs
 from repro.analysis.cycles import EstimationModel
 from repro.disksim.params import SubsystemParams
-from repro.disksim.simulator import AUTO_MIN_REQUESTS
+from repro.disksim.simulator import AUTO_MIN_REQUESTS, replay_coverage
 from repro.experiments import cli
 from repro.experiments.schemes import SCHEME_NAMES, run_schemes
 from repro.obs.export import load_and_validate as load_trace
@@ -138,3 +138,26 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     assert routing["auto_vector_min_requests"] > 0
     assert routing["drpm_vector_min_window"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
+
+
+def test_cli_manifest_engine_counts_match_across_worker_counts(tmp_path, capsys):
+    """The manifest's ``engine`` counts come from the merged metrics, so a
+    pooled run reports its workers' replays: ``-j 1`` and ``-j 2`` agree."""
+    engines = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"j{jobs}.json"
+        rc = cli.main(
+            ["-j", jobs, "--obs", "--no-cache", "--manifest-out", str(path), "table3"]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        obs.disable(reset_metrics=True)
+        manifest = load_manifest(path)
+        counters = manifest["metrics"]["counters"]
+        engine = manifest["engine"]
+        assert set(engine) == {"routing", *replay_coverage()}
+        for key in replay_coverage():
+            assert engine[key] == counters.get("sim.coverage." + key, 0), key
+        engines.append(engine)
+    assert engines[0]["replays_segmented"] > 0
+    assert engines[0] == engines[1]
