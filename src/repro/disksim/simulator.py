@@ -27,24 +27,24 @@ Two replay engines produce bit-identical results:
   *segment-boundary state edits*: between kernel windows the directive
   mutates the mirror exactly as ``Disk.set_rpm``/``spin_down``/
   ``spin_up`` would, so IDRPM/CMTPM/CMDRPM replays stay batched instead
-  of ending a segment.  Windows with no disk in a mirrored-busy or
-  exact-routed state run the vectorized kernel (service maxima as table
-  lookups, closed-loop ``delay`` as a short scan, idle/active accrual in
-  bulk); windows touching a busy disk run a scalar mirror loop that
-  resolves the in-flight transition inline.  Reactive DRPM's window
-  heuristic is folded into both via :func:`repro.power.planner.
-  drpm_window_step`; reactive TPM's idleness fires and the standby
-  wake-ups after them are mirror edits on the scalar path.  Only
-  genuinely entangled cases escape to the exact ``Disk`` methods — a
-  directive landing inside a transition, a spin-up that draws a fault, a
-  fault-flagged sub-request, or queued deferred work (see
-  :attr:`Disk.mirrorable`) — and each escape is counted by reason in
-  :func:`replay_coverage` and the ``sim.fallbacks{reason}`` metric.
-  Timeline recording is engine-independent: the mirror edits and scalar
-  accruals emit the same :class:`~repro.disksim.timeline.Segment` stream
-  the stepwise recorder produces, bit for bit (recording disables only
-  the fused vector accounting and the columnar directive batch, which
-  have no per-interval structure to emit).
+  of ending a segment.  In a plain closed-loop replay (no reactive
+  controller, not ``open_loop``), windows with no disk in a mirrored-busy
+  or exact-routed state run the vectorized kernel (service maxima as
+  table lookups, closed-loop ``delay`` as a short scan, idle/active
+  accrual in bulk).  Everything else runs a scalar mirror loop that
+  resolves in-flight transitions inline: reactive DRPM's window
+  heuristic (via :func:`repro.power.planner.drpm_window_step`), reactive
+  TPM's idleness fires and the standby wake-ups after them, and
+  open-loop queueing.  Only genuinely entangled cases escape to the
+  exact ``Disk`` methods — a directive landing inside a transition, a
+  spin-up that draws a fault, a fault-flagged sub-request, or queued
+  deferred work (see :attr:`Disk.mirrorable`) — and each escape is
+  counted by reason in :func:`replay_coverage` and the
+  ``sim.fallbacks{reason}`` metric.  Timeline recording is
+  engine-independent: the mirror edits and scalar accruals emit the same
+  :class:`~repro.disksim.timeline.Segment` stream the stepwise recorder
+  produces, bit for bit (recording disables only the fused vector
+  accounting, which has no per-interval structure to emit).
 
 Within a quiescent segment the synchronous model guarantees every
 sub-request starts exactly at its issue time: the app blocks until the
@@ -98,9 +98,6 @@ __all__ = [
     "reset_replay_coverage",
     "VECTOR_MIN_REQUESTS",
     "VECTOR_MIN_SUBREQUESTS",
-    "VECTOR_MIN_SUBREQUESTS_PM",
-    "DRPM_VECTOR_MIN_WINDOW",
-    "AUTO_VECTOR_MIN_REQUESTS",
     "AUTO_MIN_REQUESTS",
     "AUTO_ROUTING",
 ]
@@ -128,48 +125,12 @@ VECTOR_MIN_REQUESTS = 64
 #: directives) run the scalar mirror, which has no setup cost.
 VECTOR_MIN_SUBREQUESTS = 256
 
-#: Lower sub-request floor for power-managed replays (reactive TPM/DRPM).
-#: Their scalar alternative is the general per-sub loop with auto-due and
-#: window-fold checks (~2× the tight loop's cost), which moves the
-#: crossover down; DRPM windows in particular are count-bounded at
-#: ``window_size × num_disks`` subs and would otherwise never vectorize.
-VECTOR_MIN_SUBREQUESTS_PM = 96
-
-#: Reactive-DRPM vector gate: a DRPM vector window is count-bounded at
-#: ``window_size × num_disks`` sub-requests (every disk's window must stay
-#: open across it).  Below this product the windows are too short to
-#: amortize the kernel's per-window setup — measured a net loss at the
-#: default ``window_size=30`` with 8 disks (~240-sub ceiling) — so such
-#: replays keep the scalar mirror kernel end to end.
-DRPM_VECTOR_MIN_WINDOW = 512
-
-#: Reactive-TPM vector gate: fires run in mirror without ending a scalar
-#: run, but every vector probe pays a fire-bound scan, a flush of every
-#: live mirror and the kernel's window setup, and on a short stream the
-#: fire-bounded windows are too short to repay it.
-#: Streams below this request count keep the scalar mirror kernel.
-#: Re-measured with in-mirror fires: without the gate the Table 2 TPM
-#: replays under it ran 10-50% slower (applu, 7.1k requests: 6.3 ms ->
-#: 8.2-9.7 ms), while the 12k- and 25k-request traces were unchanged.
-AUTO_VECTOR_MIN_REQUESTS = 8192
-
 #: Maximum scalar-window length (in requests) while timed directives are
 #: pending.  Deferral keeps serving disks the due directives do not touch,
 #: so without a cap one due directive on an idle disk could pin the whole
 #: remaining stream to the scalar kernel; every ``cap`` requests the
 #: driver drains and re-probes for a vector window instead.
 DEFER_WINDOW_REQUESTS = 128
-
-#: Minimum run length for the columnar directive batch-apply: consecutive
-#: SET_RPM directives on distinct plain disks with no intervening request
-#: collapse into one precomputed pass over the DiskArray columns.  Below
-#: this the per-run precheck costs more than the per-call dispatch saves.
-DIRECTIVE_BATCH_MIN = 8
-
-#: Disk-count floor for the columnar (NumPy) whole-array driver scans —
-#: the reactive-TPM fire bound over the DiskArray columns.  Below it the
-#: per-disk Python loop is faster than array construction.
-_WIDE_DISKS = 32
 
 #: Minimum stream length (in requests) for the segmented engine under
 #: ``engine="auto"``: below this the mirror/kernel setup costs more than
@@ -179,20 +140,15 @@ AUTO_MIN_REQUESTS = 48
 
 #: The ``auto`` routing rule in manifest-ready form.  Since directives
 #: became boundary edits the only remaining engine-level crossover is
-#: stream length; the in-kernel vector/scalar crossovers (measured on this
-#: container, see docs/performance.md) ride along so a run manifest
-#: records the full routing policy that produced its numbers.
+#: stream length; the in-kernel vector/scalar crossovers (see
+#: docs/performance.md) ride along so a run manifest records the full
+#: routing policy that produced its numbers.
 AUTO_ROUTING: dict = {
     "rule": "segmented if num_requests >= min_requests",
     "min_requests": AUTO_MIN_REQUESTS,
-    "directive_density_cutoff": None,
     "vector_min_requests": VECTOR_MIN_REQUESTS,
     "vector_min_subrequests": VECTOR_MIN_SUBREQUESTS,
-    "vector_min_subrequests_pm": VECTOR_MIN_SUBREQUESTS_PM,
-    "auto_vector_min_requests": AUTO_VECTOR_MIN_REQUESTS,
-    "drpm_vector_min_window": DRPM_VECTOR_MIN_WINDOW,
     "defer_window_requests": DEFER_WINDOW_REQUESTS,
-    "directive_batch_min": DIRECTIVE_BATCH_MIN,
 }
 
 #: Engine observability: how much of the replay ran on which path.
@@ -200,7 +156,11 @@ AUTO_ROUTING: dict = {
 #: ``Disk.serve`` state machine (the whole replay for stepwise routing;
 #: per-sub escapes for segmented replays), ``subrequests_vector`` /
 #: ``subrequests_scalar`` count the batched kernels, and ``bailouts``
-#: counts per-request vector-kernel exits on the rounding guard.
+#: counts per-request vector-kernel exits on the rounding guard.  Only
+#: plain closed-loop replays (no reactive controller, not open-loop) take
+#: the vector kernel, so ``segments_vector``/``subrequests_vector`` read 0
+#: on every other replay; over one ``cli --obs --no-cache all`` they read
+#: 466 windows and 503,466 sub-requests against 1,363,354 scalar ones.
 #: ``segments_fused`` counts vector windows served by the fused SoA
 #: accounting batch (``segments_fused_multirpm``: the subset fused while
 #: the subsystem held mixed RPM levels — per-disk power-lane selection).
@@ -236,7 +196,6 @@ def reset_replay_coverage() -> None:
         subrequests_stepwise=0,
         bailouts=0,
         directive_edits=0,
-        directive_batch_calls=0,
         directive_mid_service=0,
         windows_scalar_short_run=0,
         fallback_transition_entangled=0,
@@ -304,9 +263,9 @@ class _PlanGeometry:
     replays of a suite (the plan's ``_derived`` cache keeps it alive).
     The views are built in lazy groups — the stepwise engine needs only
     the flat per-sub lists, while the segmented driver additionally needs
-    the vector-kernel arrays (``counts``/``nbytes_f``/``subs_by_disk``)
-    and the per-request disk bitmasks — so sweep points replayed purely
-    stepwise never pay for the batch-engine views.
+    the vector-kernel arrays (``counts``/``nbytes_f``) and the per-request
+    disk bitmasks — so sweep points replayed purely stepwise never pay for
+    the batch-engine views.
     """
 
     __slots__ = (
@@ -319,8 +278,6 @@ class _PlanGeometry:
         "counts",
         "single_sub",
         "nbytes_f",
-        "subs_by_disk",
-        "disk_cnt_at_req",
         "reqmask",
     )
 
@@ -334,8 +291,6 @@ class _PlanGeometry:
         self.counts = None
         self.single_sub = False
         self.nbytes_f = None
-        self.subs_by_disk = None
-        self.disk_cnt_at_req = None
         self.reqmask = None
 
     def scalar_views(self) -> tuple[list, list, list]:
@@ -366,43 +321,6 @@ class _PlanGeometry:
             plan = self._plan
             self.single_sub = bool(plan.indptr[-1] == plan.num_requests)
         self.nbytes_float()
-
-    def disk_views(self) -> None:
-        """Dense per-disk sub indices and prefix counts (idempotent, cached).
-
-        ``disk_cnt_at_req[d][k]`` = subs of disk d in requests ``[0, k)``
-        and ``subs_by_disk[d]`` = disk d's sub indices in stream order —
-        O(1) lookups for the reactive-DRPM window-boundary scan, the only
-        consumer.  O(num_disks x num_requests) memory and build time, so
-        it is *not* part of :meth:`vector_views`: the request-window
-        kernel groups subs per window instead and stays O(window).
-        """
-        plan = self._plan
-        if self.subs_by_disk is None:
-            self.vector_views()
-            nd = plan.num_disks
-            n = plan.num_requests
-            # Group sub indices by disk with one stable argsort (ascending
-            # within a disk, since the sort is stable over ascending
-            # indices) instead of one O(m) scan per disk.
-            by_disk = np.argsort(plan.sub_disk, kind="stable")
-            bounds = np.searchsorted(
-                plan.sub_disk[by_disk], np.arange(nd + 1, dtype=np.int64)
-            )
-            self.subs_by_disk = [
-                by_disk[bounds[d]:bounds[d + 1]] for d in range(nd)
-            ]
-            # One flat bincount + row cumsum builds all disks' prefix
-            # counts at once — one ``searchsorted(subs, indptr)`` per disk
-            # costs O(disks x requests x log subs) and dominates wide
-            # subsystems.
-            req_of_sub = np.repeat(np.arange(n, dtype=np.int64), self.counts)
-            hist = np.bincount(
-                plan.sub_disk * n + req_of_sub, minlength=nd * n
-            ).reshape(nd, n)
-            cnt = np.zeros((nd, n + 1), dtype=np.int64)
-            np.cumsum(hist, axis=1, out=cnt[:, 1:])
-            self.disk_cnt_at_req = list(cnt)
 
     def request_masks(self) -> list:
         """Per-request touched-disk bitmasks (idempotent, cached)."""
@@ -812,21 +730,14 @@ def _run_vector(
     busy: list[list[BusyInterval]],
     collect: bool,
     rpm_counts: dict[int, int] | None = None,
-    drpm_fold: tuple[list[float], list[int], np.ndarray] | None = None,
     recorder=None,
-    open_loop: bool = False,
 ) -> tuple[int, float, bool]:
-    """Batch-replay requests ``[ri, we)``; all touched disks are plain.
+    """Batch-replay requests ``[ri, we)`` of a closed-loop replay with no
+    reactive controller; all touched disks are plain.
 
     Returns ``(next_request, delay, bailed)``; ``bailed`` means request
     ``next_request`` overlaps a previous completion (rounding guard) and
     must continue on the scalar kernel, which models queueing exactly.
-
-    With ``drpm_fold`` (reactive DRPM), each disk's normalized response
-    ratios accumulate into the controller's window state ``(sum, count)``.
-    The caller guarantees no window closes inside ``[ri, we)``; the fold
-    is a sequential left-to-right accumulate, bit-equal to the scalar
-    ``+=`` chain.
     """
     geom.vector_views()
     indptr_l = geom.indptr_l
@@ -871,32 +782,18 @@ def _run_vector(
     tn_win = plan.columns.nominal_time_s[ri:we]
     acc = np.empty(w + 1)
     acc[0] = delay
-    if open_loop:
-        # Open-loop: arrivals come from the trace plus the frozen delay
-        # offset; responses never feed back.  Accumulating exact zeros
-        # keeps ``pre``/``delay`` handling identical to the closed-loop
-        # path, and the overlap guard below still bails any request that
-        # arrives before a previous completion (queueing) to the scalar
-        # kernel, which models it exactly.
-        acc[1:] = 0.0
+    resp = m_win
+    converged = False
+    for _ in range(8):
+        acc[1:] = resp
         pre = np.add.accumulate(acc)
         t_arr = tn_win + pre[:-1]
         comp = t_arr + m_win
-        resp = comp - t_arr
-        converged = True
-    else:
-        resp = m_win
-        converged = False
-        for _ in range(8):
-            acc[1:] = resp
-            pre = np.add.accumulate(acc)
-            t_arr = tn_win + pre[:-1]
-            comp = t_arr + m_win
-            new_resp = comp - t_arr
-            if np.array_equal(new_resp, resp):
-                converged = True
-                break
-            resp = new_resp
+        new_resp = comp - t_arr
+        if np.array_equal(new_resp, resp):
+            converged = True
+            break
+        resp = new_resp
     bailed = False
     if converged:
         pcs = np.empty(w)
@@ -962,7 +859,7 @@ def _run_vector(
         wdisk[worder], np.arange(plan.num_disks + 1, dtype=np.int64)
     )
     wsubs = sk - s0
-    if drpm_fold is None and not collect and recorder is None:
+    if not collect and recorder is None:
         # Fused accounting: every per-disk accrual is a sequential left
         # fold over that disk's window subs.  Pack all five folds x all
         # touched disks into one zero-padded matrix — one row per (disk,
@@ -1108,14 +1005,6 @@ def _run_vector(
         stats.bytes_served += int(plan.sub_nbytes[idx_abs].sum())
         if rpm_counts is not None:
             rpm_counts[rpm] = rpm_counts.get(rpm, 0) + int(idx.size)
-        if drpm_fold is not None:
-            dw_sum, dw_cnt, top_np = drpm_fold
-            d_id = disk.disk_id
-            acc = np.empty(idx.size + 1)
-            acc[0] = dw_sum[d_id]
-            acc[1:] = (comp_d - td) / top_np[idx_abs]
-            dw_sum[d_id] = float(np.add.accumulate(acc)[-1])
-            dw_cnt[d_id] += int(idx.size)
         if recorder is not None:
             # Interleaved idle/active segments, exactly the stepwise
             # order: ``_settle_idle`` (cursor -> issue) then the service
@@ -1184,10 +1073,8 @@ def _replay_segmented(
     ``(num_directives, end_time, delay, timed_idx)``.
 
     ``open_loop=True`` freezes the delay at ``delay0`` exactly as in
-    :func:`_replay_stepwise` — arrivals come from the trace, responses and
-    directive overheads never shift later records, and the vector kernel's
-    overlap guard bails queued-up arrivals to the scalar mirror, which
-    models the queueing exactly.
+    :func:`_replay_stepwise` — arrivals come from the trace, and responses
+    and directive overheads never shift later records.
 
     ``delay0``/``timed_idx0``/``finalize`` support chunked (streamed)
     replays exactly as in :func:`_replay_stepwise`; ``drpm_carry``
@@ -1198,9 +1085,11 @@ def _replay_segmented(
     ``Disk`` objects before returning, which carry all cross-chunk state.
 
     The driver walks the merged request/directive stream like the stepwise
-    engine, batching quiescent runs through the vector kernel and everything
-    else through the persistent per-disk *mirror* — flat locals performing
-    ``Disk.serve``'s exact arithmetic without per-sub method dispatch.
+    engine.  Quiescent runs of a plain closed-loop replay (no reactive
+    controller, no ``open_loop``) batch through the vector kernel;
+    everything else runs on the persistent per-disk *mirror* — flat locals
+    performing ``Disk.serve``'s exact arithmetic without per-sub method
+    dispatch.
 
     Power directives are *boundary edits*: a call that does not overlap an
     in-flight service updates the mirror's (state, RPM, pending-transition)
@@ -1285,7 +1174,6 @@ def _replay_segmented(
     subs_step_c = 0
     short_run_c = 0
     dir_edits_c = 0
-    batch_c = 0
     collect = collect_busy_intervals
     counting = rpm_counts is not None
     delay = delay0
@@ -1340,10 +1228,7 @@ def _replay_segmented(
     #: Reactive TPM: any disk may autonomously spin down after its idleness
     #: threshold.  The scalar kernel performs the exact due check per
     #: sub-request (``advance``'s fire condition) and runs due serves on
-    #: the mirror slow path (``_sub_slow``); the vector kernel has no
-    #: per-sub check, so its windows are bounded at the earliest possible
-    #: fire instant (see ``vnext`` below) where the scalar kernel takes
-    #: over.
+    #: the mirror slow path (``_sub_slow``).
     auto_active = any(d.auto_spindown_threshold_s is not None for d in disks)
 
     # In-kernel reactive DRPM (see docstring).  The baseline row is the
@@ -1363,27 +1248,10 @@ def _replay_segmented(
             dw_sum = [0.0] * num_disks
             dw_cnt = [0] * num_disks
             dw_prev = [None] * num_disks
-        # Vector windows fold completed sub-requests into the same window
-        # accumulators (sequentially, via ``np.add.accumulate``, so the
-        # left-fold is bit-equal to the scalar ``+=`` chain); windows are
-        # truncated before any disk's window-closing sub-request, so the
-        # boundary itself always fires on the scalar path.
-        drpm_fold = (dw_sum, dw_cnt, tables.row_np(level_row[drpm_max]))
-        geom.disk_views()
-        subs_by_disk = geom.subs_by_disk
-        disk_cnt_at_req = geom.disk_cnt_at_req
-    else:
-        drpm_fold = None
-    use_vector = (
-        not auto_active or n >= AUTO_VECTOR_MIN_REQUESTS
-    ) and (
-        not drpm_on or drpm_wsize * num_disks >= DRPM_VECTOR_MIN_WINDOW
-    )
-    min_subs = (
-        VECTOR_MIN_SUBREQUESTS_PM
-        if auto_active or drpm_on
-        else VECTOR_MIN_SUBREQUESTS
-    )
+    # The vector kernel serves plain closed-loop windows only: reactive
+    # TPM fires, reactive-DRPM window boundaries and open-loop queueing
+    # all run on the scalar mirror kernel, which models them exactly.
+    use_vector = not auto_active and not drpm_on and not open_loop
     # Recording routes every scalar sub through the general loop: the
     # tight loop stays free of per-sub recorder branches.
     general_loop = auto_active or drpm_on or recording
@@ -1767,91 +1635,6 @@ def _replay_segmented(
                 continue
 
             we = bound
-            vec_we = ri
-            vnext = tnext
-            due_mask = 0
-            if use_vector and bound - ri >= VECTOR_MIN_REQUESTS:
-                if auto_active:
-                    # Earliest instant any plain disk could trip its
-                    # idleness threshold: armed disks from their anchor,
-                    # unarmed disks from the window's first issue time
-                    # (arming sets the anchor at a serve completion, never
-                    # earlier).  In-window serves only push anchors — and
-                    # so every true fire time — later, so the vector
-                    # window is safe up to ``vnext``; the scalar kernel's
-                    # exact per-sub due check takes over there.  A disk
-                    # already *overdue* fires only when it is next served,
-                    # so instead of pinning ``vnext`` in the past it joins
-                    # ``due_mask`` and the window truncates at its first
-                    # touch.  Wide arrays take the columnar scan (every
-                    # non-hot disk is mirrored once the stale flag clears,
-                    # so the NumPy pass over the DiskArray columns sees
-                    # the same candidates as the per-disk loop).
-                    t0w = req_times[ri] + delay
-                    if num_disks >= _WIDE_DISKS and not mirrors_stale:
-                        vnext, due_mask = da.auto_fire_scan(t0w, vnext)
-                    else:
-                        for d in range(num_disks):
-                            if (hot >> d) & 1:
-                                continue
-                            if m_valid[d]:
-                                thr_o = m_thr[d]
-                                if thr_o is not None:
-                                    if m_armed[d]:
-                                        fd = m_anchor[d] + thr_o
-                                        if fd <= t0w:
-                                            due_mask |= 1 << d
-                                        elif fd < vnext:
-                                            vnext = fd
-                                    elif t0w + thr_o < vnext:
-                                        vnext = t0w + thr_o
-                            else:
-                                dk_o = disks[d]
-                                thr_o = dk_o.auto_spindown_threshold_s
-                                if thr_o is not None:
-                                    if dk_o._auto_armed:
-                                        fd = dk_o.idle_anchor_s + thr_o
-                                        if fd <= t0w:
-                                            due_mask |= 1 << d
-                                        elif fd < vnext:
-                                            vnext = fd
-                                    elif t0w + thr_o < vnext:
-                                        vnext = t0w + thr_o
-                vec_we = bound
-                if vnext is not inf:
-                    # Timed directives no longer close the scalar window —
-                    # the kernel defers them per disk — but the vector
-                    # kernel still stops at ``vnext``, so its window is
-                    # bounded there.  A probe answers the dense case
-                    # (window shorter than the vector minimum) in O(1)
-                    # before paying for the bisect.
-                    probe = ri + VECTOR_MIN_REQUESTS
-                    if probe > bound or req_times[probe - 1] + delay >= vnext:
-                        vec_we = ri
-                    else:
-                        cut = bisect_left(req_times, vnext - delay, ri, bound) + 1
-                        if cut < vec_we:
-                            vec_we = cut
-                if drpm_on and vec_we - ri >= VECTOR_MIN_REQUESTS:
-                    # Reactive-DRPM window boundaries close on completion
-                    # *counts*, not times: truncate before the request
-                    # holding any disk's window-closing sub-request, so
-                    # the boundary (and any level shift it starts) always
-                    # runs on the exact scalar path.
-                    se = indptr_l[vec_we]
-                    for d in range(num_disks):
-                        sbd = subs_by_disk[d]
-                        bi = (
-                            int(disk_cnt_at_req[d][ri])
-                            + drpm_wsize - dw_cnt[d] - 1
-                        )
-                        if bi < sbd.size:
-                            j_abs = int(sbd[bi])
-                            if j_abs < se:
-                                rq = bisect_right(indptr_l, j_abs) - 1
-                                if rq < vec_we:
-                                    vec_we = rq
-                                    se = indptr_l[vec_we]
             if hot:
                 # Transitions that end at or before this issue time
                 # complete now, exactly as the serve/advance machinery
@@ -1874,17 +1657,33 @@ def _replay_segmented(
                         _refresh(d)
                 hot = da.hot
 
-            if use_vector and vec_we - ri >= VECTOR_MIN_REQUESTS:
+            vec_we = ri
+            if use_vector and bound - ri >= VECTOR_MIN_REQUESTS:
+                vec_we = bound
+                if tnext is not inf:
+                    # Timed directives no longer close the scalar window —
+                    # the kernel defers them per disk — but the vector
+                    # kernel still stops at ``tnext``, so its window is
+                    # bounded there.  A probe answers the dense case
+                    # (window shorter than the vector minimum) in O(1)
+                    # before paying for the bisect.
+                    probe = ri + VECTOR_MIN_REQUESTS
+                    if probe > bound or req_times[probe - 1] + delay >= tnext:
+                        vec_we = ri
+                    else:
+                        cut = bisect_left(req_times, tnext - delay, ri, bound) + 1
+                        if cut < vec_we:
+                            vec_we = cut
+            if vec_we - ri >= VECTOR_MIN_REQUESTS:
                 # Vector window: truncate at the first request touching a
-                # hot or overdue disk and at the next fault-flagged
-                # request; all are handled sub-by-sub on the scalar path.
+                # hot disk and at the next fault-flagged request; both are
+                # handled sub-by-sub on the scalar path.
                 wv = vec_we
-                hmask = hot | due_mask
-                if hmask:
+                if hot:
                     if reqmask is None:
                         reqmask = geom.request_masks()
                     k2 = ri
-                    while k2 < wv and not reqmask[k2] & hmask:
+                    while k2 < wv and not reqmask[k2] & hot:
                         k2 += 1
                     wv = k2
                 if fr_idx < fr_n:
@@ -1894,14 +1693,12 @@ def _replay_segmented(
                         wv = flagged[fr_idx]
                 if (
                     wv - ri >= VECTOR_MIN_REQUESTS
-                    and indptr_l[wv] - indptr_l[ri] >= min_subs
+                    and indptr_l[wv] - indptr_l[ri] >= VECTOR_MIN_SUBREQUESTS
                 ):
-                    # Latest busy edge over the window's disks: a live row
+                    # Latest busy edge over the window's disks (a live row
                     # holds the values a flush would write, a stale row's
-                    # Disk is current.  A first arrival before it (open-
-                    # loop queueing) trips the kernel's overlap guard on
-                    # request zero, so that probe is answered here without
-                    # the sync or the kernel call.
+                    # Disk is current): the kernel's overlap guard on
+                    # request zero.
                     pc0 = 0.0
                     for d in range(num_disks):
                         if not (hot >> d) & 1:
@@ -1915,28 +1712,23 @@ def _replay_segmented(
                             m = c if c >= r else r
                             if m > pc0:
                                 pc0 = m
-                    t_first = req_times[ri] + delay
-                    if t_first < vnext and t_first < pc0:
-                        cov["bailouts"] += 1
-                    else:
-                        # The vector kernel reads and writes the Disk
-                        # objects directly, so any live mirrors hand back
-                        # first.
-                        da.sync_to_disks()
-                        mirrors_stale = True
-                        ri0 = ri
-                        ri, delay, bailed = _run_vector(
-                            plan, geom, tables, disks, req_times, ri, wv,
-                            delay, vnext, pc0, hot, responses, busy, collect,
-                            rpm_counts, drpm_fold, tl_rec, open_loop,
-                        )
-                        if ri > ri0:
-                            seg_open = False
-                        # On a guard trip the scalar kernel absorbs the
-                        # overlapping request (it models queueing exactly)
-                        # and carries the rest of the window.
-                        if not bailed:
-                            continue
+                    # The vector kernel reads and writes the Disk objects
+                    # directly, so any live mirrors hand back first.
+                    da.sync_to_disks()
+                    mirrors_stale = True
+                    ri0 = ri
+                    ri, delay, bailed = _run_vector(
+                        plan, geom, tables, disks, req_times, ri, wv,
+                        delay, tnext, pc0, hot, responses, busy, collect,
+                        rpm_counts, tl_rec,
+                    )
+                    if ri > ri0:
+                        seg_open = False
+                    # On a guard trip the scalar kernel absorbs the
+                    # overlapping request (it models queueing exactly) and
+                    # carries the rest of the window.
+                    if not bailed:
+                        continue
             elif use_vector:
                 short_run_c += 1
 
@@ -1955,13 +1747,11 @@ def _replay_segmented(
                 da.refresh_stale()
                 mirrors_stale = False
                 hot = da.hot
-            if tnext is not inf or (use_vector and (auto_active or drpm_on)):
+            if tnext is not inf:
                 # Cap the scalar run so the driver periodically drains due
                 # directives and re-probes for a vector window.  Without
-                # the cap, a due directive on an untouched disk — or an
-                # auto/DRPM run that just crossed a fire bound or window
-                # boundary — would pin the whole remaining stream to the
-                # scalar kernel.
+                # the cap, a due directive on an untouched disk would pin
+                # the whole remaining stream to the scalar kernel.
                 cap = ri + DEFER_WINDOW_REQUESTS
                 if cap < we:
                     we = cap
@@ -2121,97 +1911,6 @@ def _replay_segmented(
             ri = k
 
         if di < num_dir_records:
-            # Columnar directive batch-apply: a run of consecutive SET_RPM
-            # directives due before the next request, targeting *distinct*
-            # plain mirrored disks (no auto policy, not hot), reduces to
-            # independent boundary edits — the per-call ``_edit`` dispatch,
-            # entanglement checks, and driver round trip all collapse into
-            # one precomputed pass over the DiskArray columns.  The
-            # executed-time prefix ``nominal_i + (delay + Σ overheads)`` is
-            # an ``np.add.accumulate`` left fold, bit-equal to the scalar
-            # ``delay +=`` chain (zero overheads add +0.0, a bitwise no-op
-            # on the non-negative delay).
-            if (
-                num_timed == 0
-                and not mirrors_stale
-                and not recording
-                and num_dir_records - di >= DIRECTIVE_BATCH_MIN
-            ):
-                limit = req_times[ri] if ri < n else inf
-                dj = di
-                seen = 0
-                while dj < num_dir_records:
-                    r2 = directives[dj]
-                    if r2.nominal_time_s > limit:
-                        break
-                    c2 = r2.call
-                    dk2 = c2.disk
-                    if (
-                        c2.action is not PowerAction.SET_RPM
-                        or c2.rpm not in level_row
-                        or not 0 <= dk2 < num_disks
-                    ):
-                        break
-                    b2 = 1 << dk2
-                    if (
-                        seen & b2
-                        or hot & b2
-                        or not m_valid[dk2]
-                        or m_thr[dk2] is not None
-                    ):
-                        break
-                    seen |= b2
-                    dj += 1
-                nrun = dj - di
-                if nrun >= DIRECTIVE_BATCH_MIN:
-                    run = directives[di:dj]
-                    acc = np.empty(nrun + 1, dtype=np.float64)
-                    acc[0] = delay
-                    if open_loop:
-                        # Overheads never shift the frozen open-loop delay;
-                        # +0.0 keeps the prefix bit-equal to ``delay``.
-                        acc[1:] = 0.0
-                    else:
-                        acc[1:] = [r2.call.overhead_cycles for r2 in run]
-                        acc[1:] /= _CLOCK_HZ
-                    np.add.accumulate(acc, out=acc)
-                    accl = acc.tolist()
-                    for i in range(nrun):
-                        r2 = run[i]
-                        dk2 = r2.call.disk
-                        t = r2.nominal_time_s + accl[i]
-                        c = m_cur[dk2]
-                        if t < c:
-                            if not open_loop and t < c - 1e-9:
-                                raise SimulationError(
-                                    f"disk {dk2}: advance to {t} precedes "
-                                    f"cursor {c}"
-                                )
-                            cov["directive_mid_service"] += 1
-                            t = c
-                        elif t > c:
-                            dur = t - c
-                            m_idle_t[dk2] += dur
-                            m_idle_e[dk2] += dur * m_iw[dk2]
-                            m_brpm[dk2] += dur
-                            m_anyidle[dk2] = True
-                            m_cur[dk2] = t
-                        m_dirty[dk2] = True
-                        tgt2 = r2.call.rpm
-                        if tgt2 != m_rpm[dk2]:
-                            dur_pw = tr_pair[(m_rpm[dk2], tgt2)]
-                            stats_l[dk2].num_rpm_shifts += 1
-                            _begin(
-                                dk2, t, dur_pw[0], dur_pw[1], "rpm_shift",
-                                tgt2, False,
-                            )
-                    delay = accl[nrun]
-                    hot = da.hot
-                    num_directives += nrun
-                    dir_edits_c += nrun
-                    batch_c += nrun
-                    di = dj
-                    continue
             rec = directives[di]
             di += 1
             t_exec = rec.nominal_time_s + delay
@@ -2263,7 +1962,6 @@ def _replay_segmented(
     cov["subrequests_stepwise"] += subs_step_c
     cov["windows_scalar_short_run"] += short_run_c
     cov["directive_edits"] += dir_edits_c
-    cov["directive_batch_calls"] += batch_c
     return num_directives, end_time, delay, timed_idx
 
 

@@ -22,6 +22,8 @@ regardless of completion order.
 
 Workers rebuild workloads from their registry names and may share one
 persistent :class:`~repro.cache.ResultCache` directory (writes are atomic).
+Each worker's hits and misses come back with its result and are added to
+the executor's cache, so its summary counts every lookup of the run.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ class ReplayTask:
 
 
 def _run_suite_spec(payload: tuple[SuiteSpec, str | None]):
-    """Worker: build the workload by name and run its scheme suite."""
+    """Worker: build the workload by name and run its scheme suite.
+
+    Returns ``(suite, (hits, misses))``: the worker's own cache lookups,
+    which the executor adds to the parent's cache counts."""
     from ..workloads.registry import build_workload
     from .schemes import SCHEME_NAMES, run_schemes
 
@@ -171,7 +176,7 @@ def _run_suite_spec(payload: tuple[SuiteSpec, str | None]):
     layout = spec.layout or default_layout(
         wl.program.arrays, num_disks=spec.params.num_disks
     )
-    return run_schemes(
+    suite = run_schemes(
         wl.program,
         layout,
         spec.params,
@@ -181,6 +186,7 @@ def _run_suite_spec(payload: tuple[SuiteSpec, str | None]):
         cache=cache,
         faults=spec.faults,
     )
+    return suite, (cache.hits, cache.misses) if cache else (0, 0)
 
 
 #: Pid that last reset this process's worker-side observability state.
@@ -284,7 +290,7 @@ class SuiteExecutor:
     def __init__(
         self,
         jobs: int | None = None,
-        cache_root: str | os.PathLike | None = None,
+        cache: ResultCache | None = None,
         clamp_to_cpus: bool = True,
     ):
         self.requested_jobs = resolve_jobs(jobs)
@@ -296,7 +302,8 @@ class SuiteExecutor:
             self.jobs = min(self.requested_jobs, available_cpus())
         else:
             self.jobs = self.requested_jobs
-        self.cache_root = str(cache_root) if cache_root is not None else None
+        self.cache = cache
+        self.cache_root = str(cache.root) if cache is not None else None
 
     # ------------------------------------------------------------------ #
     @property
@@ -321,14 +328,20 @@ class SuiteExecutor:
         """Run one scheme suite per spec; results in spec order."""
         if self.serial or len(specs) <= 1:
             # In-process: metrics/spans land on the live registry directly.
-            return [_run_suite_spec((spec, self.cache_root)) for spec in specs]
-        obs_flag = obs.enabled()
-        payloads = [(spec, self.cache_root, obs_flag) for spec in specs]
-        with self._pool(len(specs)) as pool:
-            pairs = list(pool.map(_run_suite_spec_obs, payloads))
-        for _, envelope in pairs:
-            self._merge_envelope(envelope)
-        return [result for result, _ in pairs]
+            outs = [_run_suite_spec((spec, self.cache_root)) for spec in specs]
+        else:
+            obs_flag = obs.enabled()
+            payloads = [(spec, self.cache_root, obs_flag) for spec in specs]
+            with self._pool(len(specs)) as pool:
+                pairs = list(pool.map(_run_suite_spec_obs, payloads))
+            for _, envelope in pairs:
+                self._merge_envelope(envelope)
+            outs = [out for out, _ in pairs]
+        if self.cache is not None:
+            for _, (hits, misses) in outs:
+                self.cache.hits += hits
+                self.cache.misses += misses
+        return [suite for suite, _ in outs]
 
     def run_replays(self, tasks: Sequence[ReplayTask]) -> list[SimulationResult]:
         """Replay the given schemes; results in task order."""

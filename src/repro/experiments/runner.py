@@ -79,10 +79,8 @@ class ExperimentContext:
     @property
     def executor(self) -> SuiteExecutor:
         if self._executor is None:
-            cache = self.result_cache
             self._executor = SuiteExecutor(
-                jobs=self.jobs,
-                cache_root=cache.root if cache is not None else None,
+                jobs=self.jobs, cache=self.result_cache
             )
         return self._executor
 
@@ -224,9 +222,8 @@ class ExperimentContext:
     def cache_stats(self) -> dict | None:
         """Persistent-cache hit/miss stats for reports and run manifests.
 
-        Only the parent process's lookups are counted here; worker-side
-        lookups surface through the observability metrics
-        (``cache.hits``/``cache.misses``) when ``--obs`` is on.
+        Pool workers' lookups are included: :class:`SuiteExecutor` adds
+        each worker's counts to this cache when its result comes back.
         """
         cache = self.result_cache
         return cache.stats() if cache is not None else None

@@ -9,12 +9,10 @@ in-flight transition).  :func:`strategies.boundary_adjacent_traces`
 generates exactly those placements; every engine must stay bit-identical,
 with and without fault injection.
 
-Also here: targeted streams for the two size-gated vector paths — the
-reactive-DRPM windowed kernel (engaged only when
-``window_size * num_disks >= DRPM_VECTOR_MIN_WINDOW``) and the
-auto-spin-down vector kernel (engaged only for streams of at least
-``AUTO_VECTOR_MIN_REQUESTS`` requests) — so both run under their real
-gates, not just in synthetic unit settings.
+Also here: targeted long streams under reactive DRPM and reactive TPM.
+Both controllers run on the scalar mirror kernel only (the vector kernel
+serves plain closed-loop windows), which a plain replay of the same trace
+shows is a routing rule, not a trace too short to batch.
 """
 
 import sys
@@ -32,8 +30,6 @@ from repro.controllers.tpm import ReactiveTPM
 from repro.disksim.params import DRPMParams, SubsystemParams
 from repro.disksim.replay import ReplayPlan
 from repro.disksim.simulator import (
-    AUTO_VECTOR_MIN_REQUESTS,
-    DRPM_VECTOR_MIN_WINDOW,
     replay_coverage,
     reset_replay_coverage,
     simulate,
@@ -73,7 +69,7 @@ def test_boundary_adjacent_directives_bit_identical(data):
 
 
 # --------------------------------------------------------------------- #
-# Targeted streams for the size-gated vector paths.
+# Targeted long streams under the reactive controllers.
 # --------------------------------------------------------------------- #
 def _uniform_trace(num_disks, num_requests, gap_s, burst_every=0, burst_gap_s=0.0):
     layout = SubsystemLayout(
@@ -91,12 +87,11 @@ def _uniform_trace(num_disks, num_requests, gap_s, burst_every=0, burst_gap_s=0.
 
 
 def test_drpm_vector_window_path_bit_identical():
-    """A window-size/disk-count product over ``DRPM_VECTOR_MIN_WINDOW``
-    engages the windowed vector kernel (count-bounded windows plus the
-    response-sum fold); it must reproduce the stepwise replay exactly."""
+    """Long response windows (256 sub-requests x 4 disks) under reactive
+    DRPM run on the scalar mirror kernel; it must reproduce the stepwise
+    replay exactly."""
     drpm = DRPMParams(window_size=256)
     params = SubsystemParams(num_disks=4, drpm=drpm)
-    assert drpm.window_size * params.num_disks >= DRPM_VECTOR_MIN_WINDOW
     trace = _uniform_trace(4, 2048, gap_s=0.004)
     plan = ReplayPlan.for_trace(trace)
     results = {}
@@ -108,18 +103,26 @@ def test_drpm_vector_window_path_bit_identical():
         )
         cov = replay_coverage()
         if eng == "segmented":
-            # The gate is open: the vector kernel must actually engage.
-            assert cov["segments_vector"] >= 1
-            assert cov["subrequests_vector"] > 0
+            # Reactive DRPM never takes the vector kernel.
+            assert cov["subrequests_vector"] == 0
     _assert_results_identical(results["segmented"], results["stepwise"])
     _assert_results_identical(results["auto"], results["stepwise"])
+    _assert_plain_replay_vectorizes(trace, params, plan)
+
+
+def _assert_plain_replay_vectorizes(trace, params, plan):
+    """A plain closed-loop replay of the same trace engages the vector
+    kernel, so a zero vector count above is the routing rule at work."""
+    reset_replay_coverage()
+    simulate(trace, params, plan=plan, engine="segmented")
+    assert replay_coverage()["subrequests_vector"] > 0
 
 
 def test_auto_spindown_vector_path_bit_identical():
-    """A stream past ``AUTO_VECTOR_MIN_REQUESTS`` with mid-replay
-    autonomous spin-downs engages the fire-bounded vector windows; spin
-    counts, timing and stats must match the stepwise replay exactly."""
-    n = AUTO_VECTOR_MIN_REQUESTS + 1024
+    """A 9216-request stream with mid-replay autonomous spin-downs runs
+    on the scalar mirror kernel; spin counts, timing and stats must match
+    the stepwise replay exactly."""
+    n = 9216
     trace = _uniform_trace(4, n, gap_s=0.002, burst_every=512, burst_gap_s=1.0)
     params = SubsystemParams(num_disks=4)
     plan = ReplayPlan.for_trace(trace)
@@ -131,9 +134,10 @@ def test_auto_spindown_vector_path_bit_identical():
         )
         cov = replay_coverage()
         if eng == "segmented":
-            assert cov["segments_vector"] >= 1
-            assert cov["subrequests_vector"] > 0
+            # Reactive TPM never takes the vector kernel.
+            assert cov["subrequests_vector"] == 0
     # The 1 s bursts exceed the 0.4 s threshold: fires must happen.
     assert results["stepwise"].total_spin_downs > 0
     _assert_results_identical(results["segmented"], results["stepwise"])
     _assert_results_identical(results["auto"], results["stepwise"])
+    _assert_plain_replay_vectorizes(trace, params, plan)

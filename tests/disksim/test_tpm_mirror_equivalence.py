@@ -49,7 +49,6 @@ from repro.trace.synth import SynthConfig, synth_stream, synth_trace
 from repro.util.errors import SimulationError
 
 NUM_DISKS = 4
-#: Long enough to open the auto-spin-down vector gate in closed loop.
 NUM_REQUESTS = 9000
 THRESHOLDS = (0.3, 1.0, 1e9)
 
@@ -57,7 +56,7 @@ THRESHOLDS = (0.3, 1.0, 1e9)
 #: off-periods, so most gaps outlast the threshold (fires on nearly every
 #: burst, open- and closed-loop); ``dense`` — 2000 req/s in bursts of ~64
 #: with ~0.2 s off-periods, so closed-loop replays mix fires with
-#: fire-bounded vector windows.
+#: long runs of plain serves.
 SHAPES = {
     "sparse": dict(rate_hz=400.0, burst_len=16.0, off_s=1.5),
     "dense": dict(rate_hz=2000.0, burst_len=64.0, off_s=0.2),
@@ -189,14 +188,22 @@ def test_spinup_faults_fall_back_and_match(onoff_trace, open_loop, recording):
 
 
 def test_closed_loop_vector_windows_engage():
-    """The fire-bounded vector kernel still runs between in-mirror fires."""
+    """Reactive TPM and open-loop replays run on the scalar mirror
+    kernel; a plain closed-loop replay of the same trace takes the vector
+    kernel."""
     trace = synth_trace(_config("dense"))
     ref, _ = _replay(trace, 1.0, "stepwise", False)
     seg, cov = _replay(trace, 1.0, "segmented", False)
     _assert_results_identical(seg, ref)
     assert ref.total_spin_downs > 0
-    assert cov["subrequests_vector"] > 0
+    assert cov["subrequests_vector"] == 0
     _assert_no_tpm_escapes(cov)
+    params = SubsystemParams(num_disks=NUM_DISKS)
+    for open_loop in (True, False):
+        reset_replay_coverage()
+        simulate(trace, params, engine="segmented", open_loop=open_loop)
+        vector = replay_coverage()["subrequests_vector"]
+        assert vector == 0 if open_loop else vector > 0
 
 
 def _run_or_error(trace, params, controller, **kwargs):

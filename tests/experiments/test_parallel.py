@@ -4,6 +4,8 @@ The equivalence tests force real worker processes (``clamp_to_cpus=False``)
 so they exercise the pool machinery even on a single-core machine.
 """
 
+import re
+
 import pytest
 
 from repro.analysis.cycles import EstimationModel
@@ -164,3 +166,27 @@ class TestEquivalence:
                 wl.program.arrays, num_disks=SubsystemParams().num_disks
             )
             yield generate_trace(wl.program, layout, wl.trace_options)
+
+
+class TestCacheCounts:
+    def test_warm_run_counts_match_across_worker_counts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A pooled run's cache summary counts its workers' lookups, so a
+        warm ``fig5`` reports the same hits and misses at ``-j 1`` and
+        ``-j 2``."""
+        from repro.experiments import cli, parallel
+
+        # Two workers even on a one-CPU host, so the pool really runs.
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        cache_dir = str(tmp_path / "cache")
+        assert cli.main(["--cache-dir", cache_dir, "fig5"]) == 0
+        capsys.readouterr()
+        counts = {}
+        for jobs in ("1", "2"):
+            assert cli.main(["-j", jobs, "--cache-dir", cache_dir, "fig5"]) == 0
+            err = capsys.readouterr().err
+            hits, misses = re.search(r"(\d+) hits, (\d+) misses", err).groups()
+            counts[jobs] = (int(hits), int(misses))
+        assert counts["1"] == counts["2"]
+        assert counts["1"][0] > 0 and counts["1"][1] == 0

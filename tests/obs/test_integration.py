@@ -135,8 +135,9 @@ def test_cli_obs_manifest_captures_suite_metrics(tmp_path, capsys):
     # vector/scalar gate (AUTO_ROUTING, measured on this container).
     routing = manifest["engine"]["routing"]
     assert routing["min_requests"] == AUTO_MIN_REQUESTS
-    assert routing["auto_vector_min_requests"] > 0
-    assert routing["drpm_vector_min_window"] > 0
+    assert routing["vector_min_requests"] > 0
+    assert routing["vector_min_subrequests"] > 0
+    assert routing["defer_window_requests"] > 0
     assert manifest["engine"]["replays_segmented"] > 0
 
 

@@ -304,10 +304,10 @@ def collect_sim_timings(repeats: int = 3, workloads=None) -> dict:
     """Time ``simulate()`` alone, per bundled workload and scheme, under
     each replay engine.
 
-    Every scheme — including reactive DRPM (window heuristic lifted into
-    the kernel) and the directive-dense DRPM family (directives applied
-    as mirror boundary edits) — replays on the segmented engine under
-    ``auto``; the per-scheme rows document where the batch kernels pay
+    Every scheme — including reactive DRPM (window heuristic run on the
+    scalar mirror kernel) and the directive-dense DRPM family (directives
+    applied as mirror boundary edits) — replays on the segmented engine
+    under ``auto``; the per-scheme rows document where the batch kernels pay
     off.  Engines are timed round-robin *within* each repeat rather than
     all repeats of one engine back to back, so slow drift in machine
     speed lands evenly across engines before the per-engine minimum is
@@ -377,9 +377,10 @@ def write_sim_report(path: str | Path, repeats: int = 3) -> dict:
             "simulate() only — trace generation, oracle derivation, and "
             "compiler planning run outside the timed region; every scheme "
             "replays segmented under auto (directives are mirror boundary "
-            "edits, the reactive-DRPM window fold and TPM spin-down checks "
-            "run in-kernel), with stepwise reserved for reactive "
-            "per-completion controller hooks and timeline recording"
+            "edits; the vector kernel serves plain closed-loop windows, and "
+            "the reactive-TPM and reactive-DRPM rules run on the scalar "
+            "mirror kernel), with stepwise reserved for reactive "
+            "per-completion controller hooks and tiny replays"
         ),
         "results": sim,
     }
